@@ -192,9 +192,9 @@ pub fn unique_derivation_plan(
 /// Any [`Session`] backend behind the [`Method`] interface — logical naming,
 /// requests resolved to names before handing off to the session.
 ///
-/// [`HyppoMethod`] is the serial instantiation; the `hyppo-runtime` crate's
-/// `SharedSession` slots in the same way, so experiment harnesses compare
-/// serial and concurrent backends without special-casing either.
+/// [`HyppoMethod`] is the serial instantiation; `hyppo-serve`'s
+/// `SharedHyppo` and `Client` slot in the same way, so experiment harnesses
+/// compare serial and concurrent backends without special-casing either.
 #[derive(Debug)]
 pub struct SessionMethod<S>(pub S);
 

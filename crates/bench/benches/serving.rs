@@ -25,9 +25,8 @@ use hyppo_core::executor::ExecMode;
 use hyppo_core::HyppoConfig;
 use hyppo_persist::{GroupCommitWal, WalWriter};
 use hyppo_pipeline::PipelineSpec;
-use hyppo_runtime::SharedHyppo;
 use hyppo_serve::{
-    AdmissionPolicy, Client, ServeConfig, ServeRuntime, SubmissionHandle, TicketStats,
+    AdmissionPolicy, Client, ServeConfig, ServeRuntime, SharedHyppo, SubmissionHandle, TicketStats,
 };
 use hyppo_workloads::generator::{generate_sequence, SequenceConfig, UseCase};
 use hyppo_workloads::{higgs, taxi};
@@ -150,7 +149,7 @@ fn record(stats: &TicketStats, latencies: &mut Vec<f64>, waits: &mut f64, servic
 /// Closed loop: one outstanding submission per user, driven by a polling
 /// sweep so 1024 users do not need 1024 blocked threads.
 fn closed_loop(users: usize, per_user: usize, workers: usize) -> ScenarioReport {
-    let config = ServeConfig { workers, plan_workers: 1, ..ServeConfig::default() };
+    let config = ServeConfig { workers, ..ServeConfig::default() };
     let mailbox_capacity = config.mailbox_capacity;
     let commit_group = config.commit_group;
     let runtime = fresh_runtime(config);
@@ -280,7 +279,6 @@ fn burst(users: usize, per_user: usize, workers: usize) -> ScenarioReport {
     let mailbox_capacity = 2;
     let runtime = fresh_runtime(ServeConfig {
         workers,
-        plan_workers: 1,
         mailbox_capacity,
         admission: AdmissionPolicy::Reject,
         ..ServeConfig::default()

@@ -3,19 +3,20 @@
 //! monitor → history manager).
 //!
 //! A [`Backend`] supplies catalog access: a planning view (history and
-//! estimator at an epoch), the artifact store, execution, and a commit.
-//! The serial [`Hyppo`](crate::Hyppo) implements it over its own fields,
-//! `hyppo-runtime`'s `SharedHyppo` over epoch snapshots and a copy-on-write
+//! estimator at an epoch), the artifact store, and a commit. The serial
+//! [`Hyppo`](crate::Hyppo) implements it over its own fields,
+//! `hyppo-serve`'s `SharedHyppo` over epoch snapshots and a copy-on-write
 //! commit. The engine owns the rest, once: the replan loop, the joint
-//! batch path, and the absorb tail (record → journal `Observe` →
-//! materialize → cumulative time → [`RunReport`]). The planning view lives
-//! only while [`Backend::plan_view`] runs, so no snapshot is held across
-//! execution or commit.
+//! batch path, execution (the serial [`execute_plan`], in one topological
+//! order), and the absorb tail (record → journal `Observe` → materialize →
+//! cumulative time → [`RunReport`]). The planning view lives only while
+//! [`Backend::plan_view`] runs, so no snapshot is held across execution or
+//! commit.
 
 use crate::augment::{annotate_costs, augment, augment_request, Augmentation};
 use crate::durable::DurableEvent;
 use crate::estimator::CostEstimator;
-use crate::executor::{ExecError, ExecOutcome};
+use crate::executor::{execute_plan, ExecError, ExecOutcome};
 use crate::history::History;
 use crate::materialize::{MaterializeConfig, Materializer};
 use crate::monitor::record_outcome;
@@ -54,8 +55,6 @@ impl EpochStamp {
 pub trait Backend {
     /// The artifact store annotation, execution and materialization use.
     type Store: ArtifactStorage;
-    /// What execution reports beyond the [`ExecOutcome`].
-    type ExecInfo;
 
     /// The system configuration.
     fn config(&self) -> &HyppoConfig;
@@ -70,13 +69,16 @@ pub trait Backend {
     /// view's epoch. The view does not outlive the call.
     fn plan_view<R>(&self, plan: impl FnOnce(&History, &CostEstimator) -> R) -> (R, u64);
 
-    /// Execute a plan over the augmentation it was found in.
+    /// Execute a plan over the augmentation it was found in: the serial
+    /// executor against [`Backend::store`], in the configured mode.
     fn execute(
         &self,
         aug: &Augmentation,
         plan: &Plan,
         costs: &[f64],
-    ) -> Result<(ExecOutcome, Self::ExecInfo), ExecError>;
+    ) -> Result<ExecOutcome, ExecError> {
+        execute_plan(aug, &plan.edges, self.store(), self.config().mode, costs)
+    }
 
     /// Apply one catalog mutation and drain its journaled events into the
     /// durability hook, if any. Returns the mutation's result, the epoch
@@ -92,11 +94,9 @@ pub trait Backend {
 
 /// One executed and committed submission.
 #[derive(Clone, Debug)]
-pub struct Run<X> {
+pub struct Run {
     /// The submission report.
     pub report: RunReport,
-    /// What the backend's executor reported.
-    pub exec: X,
     /// Snapshot/commit epochs.
     pub epochs: EpochStamp,
 }
@@ -113,7 +113,7 @@ pub struct Planned {
 }
 
 /// Submit one pipeline: augment, plan, execute, commit.
-pub fn submit<B: Backend>(b: &mut B, spec: PipelineSpec) -> Result<Run<B::ExecInfo>, SubmitError> {
+pub fn submit<B: Backend>(b: &mut B, spec: PipelineSpec) -> Result<Run, SubmitError> {
     let start = Instant::now();
     let pipeline = build_pipeline(spec);
     plan_execute_commit(b, start, submission(&pipeline))
@@ -121,10 +121,7 @@ pub fn submit<B: Backend>(b: &mut B, spec: PipelineSpec) -> Result<Run<B::ExecIn
 
 /// Retrieve previously computed artifacts by name (paper Scenario 2):
 /// plan over the history's alternatives only.
-pub fn retrieve<B: Backend>(
-    b: &mut B,
-    names: &[ArtifactName],
-) -> Result<Run<B::ExecInfo>, SubmitError> {
+pub fn retrieve<B: Backend>(b: &mut B, names: &[ArtifactName]) -> Result<Run, SubmitError> {
     plan_execute_commit(b, Instant::now(), |history, _| augment_request(history, names))
 }
 
@@ -184,7 +181,7 @@ pub fn submit_batch<B: Backend>(
     let mut last_commit = snapshot;
     for (i, (aug, plan)) in augs.iter().zip(&plans).enumerate() {
         let (report, commit) = match execute_and_absorb(b, aug, &costs[i], plan, optimize_share) {
-            Ok((report, _, commit)) => (report, commit),
+            Ok(absorbed) => absorbed,
             Err(SubmitError::Exec(ExecError::MissingArtifact(_))) => {
                 replans += 1;
                 let run = plan_execute_commit(b, Instant::now(), submission(&pipelines[i]))?;
@@ -233,7 +230,7 @@ fn plan_execute_commit<B: Backend>(
     b: &mut B,
     mut start: Instant,
     build: impl Fn(&History, &HyppoConfig) -> Option<Augmentation>,
-) -> Result<Run<B::ExecInfo>, SubmitError> {
+) -> Result<Run, SubmitError> {
     let mut replans = 0;
     loop {
         let (planned, snapshot) = plan_in_view(b, &build);
@@ -245,9 +242,8 @@ fn plan_execute_commit<B: Backend>(
                 start = Instant::now();
             }
             result => {
-                return result.map(|(report, exec, commit)| Run {
+                return result.map(|(report, commit)| Run {
                     report,
-                    exec,
                     epochs: EpochStamp { snapshot, commit },
                 })
             }
@@ -264,8 +260,8 @@ fn execute_and_absorb<B: Backend>(
     costs: &[f64],
     plan: &Plan,
     optimize_seconds: f64,
-) -> Result<(RunReport, B::ExecInfo, u64), SubmitError> {
-    let (outcome, info) = b.execute(aug, plan, costs)?;
+) -> Result<(RunReport, u64), SubmitError> {
+    let outcome = b.execute(aug, plan, costs)?;
     let targets: Vec<ArtifactName> = aug.targets.iter().map(|&t| aug.graph.node(t).name).collect();
     let config = b.config();
     let materializer = (config.budget_bytes > 0).then_some(Materializer::new(MaterializeConfig {
@@ -308,7 +304,7 @@ fn execute_and_absorb<B: Backend>(
         evicted: materialized.evicted.len(),
         values: targets.iter().filter_map(|&n| outcome.value(n).map(|v| (n, v))).collect(),
     };
-    Ok((report, info, epoch))
+    Ok((report, epoch))
 }
 
 #[cfg(test)]
@@ -365,7 +361,6 @@ mod tests {
 
     impl Backend for Flaky {
         type Store = ArtifactStore;
-        type ExecInfo = ();
 
         fn config(&self) -> &HyppoConfig {
             Backend::config(&self.sys)
@@ -388,7 +383,7 @@ mod tests {
             aug: &Augmentation,
             plan: &Plan,
             costs: &[f64],
-        ) -> Result<(ExecOutcome, ()), ExecError> {
+        ) -> Result<ExecOutcome, ExecError> {
             if self.failures.get() > 0 {
                 self.failures.set(self.failures.get() - 1);
                 return Err(ExecError::MissingArtifact(ArtifactName(7)));

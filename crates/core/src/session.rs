@@ -1,12 +1,13 @@
 //! A uniform session interface over HYPPO backends.
 //!
 //! Two backends execute pipelines today: the serial [`Hyppo`] facade in this
-//! crate and the concurrent `SharedHyppo` driver in `hyppo-runtime`. Both
-//! expose the same submit/retrieve surface, but harnesses (the baselines
-//! crate, benches, examples) used to hard-code one of them. [`Session`]
-//! abstracts the surface so a harness written once drives either backend —
-//! `hyppo-runtime` implements it for its shared driver, and
-//! `hyppo-baselines` wraps any `Session` behind its `Method` interface.
+//! crate and the thread-safe `SharedHyppo` in `hyppo-serve`. Both expose
+//! the same submit/retrieve surface, but harnesses (the baselines crate,
+//! benches, examples) used to hard-code one of them. [`Session`] abstracts
+//! the surface so a harness written once drives either backend —
+//! `hyppo-serve` implements it for `SharedHyppo` and for its tenant
+//! `Client`, and `hyppo-baselines` wraps any `Session` behind its `Method`
+//! interface.
 
 use crate::system::{Hyppo, RunReport, SubmitError};
 use hyppo_pipeline::{ArtifactName, PipelineSpec};

@@ -22,7 +22,7 @@ use std::time::Instant;
 ///
 /// The executor, cost annotator, and materializer are generic over this
 /// trait so plans can run against either the single-owner
-/// [`ArtifactStore`] or a concurrent wrapper (e.g. the runtime crate's
+/// [`ArtifactStore`] or a concurrent wrapper (e.g. `hyppo-serve`'s
 /// `SharedArtifactStore`) without changing the modelled cost accounting.
 /// Method names are suffixed with `_artifact`/`_shape` where an inherent
 /// [`ArtifactStore`] method of the same role exists, so concrete callers

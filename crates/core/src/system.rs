@@ -1,17 +1,17 @@
 //! The HYPPO system facade (§IV-A): parser → augmenter → plan generator →
 //! executor → monitor → history manager, wired end-to-end.
 
-use crate::augment::{AugmentOptions, Augmentation};
+use crate::augment::AugmentOptions;
 use crate::cost::PriceModel;
 use crate::durable::DurabilityHook;
 use crate::engine::{self, Backend};
 use crate::estimator::CostEstimator;
-use crate::executor::{execute_plan, ExecError, ExecMode, ExecOutcome};
+use crate::executor::{ExecError, ExecMode};
 use crate::history::History;
 use crate::materialize::PlanLocality;
 use crate::optimizer::batch::BatchPlanStats;
 use crate::optimizer::bounds::{BoundsCacheStats, PlannerBoundsCache};
-use crate::optimizer::{Plan, Planner};
+use crate::optimizer::Planner;
 use crate::store::ArtifactStore;
 use hyppo_pipeline::{ArtifactName, Dictionary, PipelineSpec};
 use hyppo_tensor::Dataset;
@@ -269,7 +269,6 @@ impl Hyppo {
 /// commit applies in place and drains the journal into the attached hook.
 impl Backend for Hyppo {
     type Store = ArtifactStore;
-    type ExecInfo = ();
 
     fn config(&self) -> &HyppoConfig {
         &self.config
@@ -285,15 +284,6 @@ impl Backend for Hyppo {
 
     fn plan_view<R>(&self, plan: impl FnOnce(&History, &CostEstimator) -> R) -> (R, u64) {
         (plan(&self.history, &self.estimator), self.epoch)
-    }
-
-    fn execute(
-        &self,
-        aug: &Augmentation,
-        plan: &Plan,
-        costs: &[f64],
-    ) -> Result<(ExecOutcome, ()), ExecError> {
-        execute_plan(aug, &plan.edges, &self.store, self.config.mode, costs).map(|o| (o, ()))
     }
 
     fn commit<R>(

@@ -1,13 +1,11 @@
 //! Incremental readiness tracking for hyperedge execution.
 //!
-//! The serial [`execution_order`](crate::execution_order) and the runtime
-//! crate's concurrent wavefront scheduler share the same dependency
-//! structure: a hyperedge is *ready* when every tail node is available —
-//! present among the sources or produced by a completed edge (the AND
-//! semantics of B-connectivity). [`InDegreeTracker`] maintains per-edge
-//! counts of unavailable tail nodes and exposes the ready frontier as
-//! completions release head nodes, so a scheduler can dispatch every ready
-//! edge concurrently instead of firing them one at a time.
+//! A hyperedge is *ready* when every tail node is available — present
+//! among the sources or produced by a completed edge (the AND semantics of
+//! B-connectivity). [`InDegreeTracker`] maintains per-edge counts of
+//! unavailable tail nodes and releases edges as completions make their
+//! head nodes available; [`execution_order`](crate::execution_order) fires
+//! them in that order.
 
 use crate::graph::HyperGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -53,35 +51,18 @@ impl InDegreeTracker {
         InDegreeTracker { remaining, in_plan, completed, available, pending }
     }
 
-    /// Whether an edge is ready to fire (all tail nodes available, not yet
-    /// completed).
-    pub fn is_ready(&self, e: EdgeId) -> bool {
-        self.in_plan[e.index()] && !self.completed[e.index()] && self.remaining[e.index()] == 0
-    }
-
-    /// Whether an edge has completed.
-    pub fn is_completed(&self, e: EdgeId) -> bool {
-        self.completed[e.index()]
-    }
-
-    /// Whether a node is available (source or produced).
-    pub fn is_available(&self, v: NodeId) -> bool {
-        self.available.contains(v)
-    }
-
-    /// Number of plan edges not yet completed.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Whether every plan edge has completed.
     pub fn is_done(&self) -> bool {
         self.pending == 0
     }
 
-    /// All currently ready edges, in ascending id order.
+    /// All currently ready edges (all tail nodes available, not yet
+    /// completed), in ascending id order.
     pub fn ready(&self) -> Vec<EdgeId> {
-        (0..self.remaining.len()).map(EdgeId::from_index).filter(|&e| self.is_ready(e)).collect()
+        (0..self.remaining.len())
+            .filter(|&i| self.in_plan[i] && !self.completed[i] && self.remaining[i] == 0)
+            .map(EdgeId::from_index)
+            .collect()
     }
 
     /// Mark `e` completed: its head nodes become available, and every plan
@@ -119,19 +100,6 @@ impl InDegreeTracker {
     }
 }
 
-/// The initial ready frontier of `edges` given available `sources`: every
-/// edge whose whole tail is already available, in ascending id order.
-///
-/// This is the set a wavefront scheduler dispatches first; it is empty iff
-/// the plan cannot start (or the plan itself is empty).
-pub fn ready_frontier<N, E>(
-    graph: &HyperGraph<N, E>,
-    edges: &[EdgeId],
-    sources: &[NodeId],
-) -> Vec<EdgeId> {
-    InDegreeTracker::new(graph, edges, sources).ready()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,12 +125,10 @@ mod tests {
     fn diamond_frontier_widens_then_joins() {
         let (g, n, e) = diamond();
         let edges = [e[3], e[1], e[0], e[2]];
-        assert_eq!(ready_frontier(&g, &edges, &[n[0]]), vec![e[0]]);
-
         let mut t = InDegreeTracker::new(&g, &edges, &[n[0]]);
+        assert_eq!(t.ready(), vec![e[0]]);
         assert_eq!(t.complete(&g, e[0]), vec![e[1], e[2]], "both branches released");
-        assert!(t.is_ready(e[1]) && t.is_ready(e[2]));
-        assert!(!t.is_ready(e[3]), "join waits for both branches");
+        assert_eq!(t.ready(), vec![e[1], e[2]], "join waits for both branches");
         assert!(t.complete(&g, e[1]).is_empty());
         assert_eq!(t.complete(&g, e[2]), vec![e[3]]);
         assert_eq!(t.complete(&g, e[3]), vec![]);
@@ -188,8 +154,8 @@ mod tests {
         assert_eq!(t.ready(), vec![load]);
         let released = t.complete(&g, load);
         assert_eq!(released, branches, "all 8 branches ready simultaneously");
-        assert_eq!(t.pending(), 8);
         for &b in &branches {
+            assert!(!t.is_done());
             t.complete(&g, b);
         }
         assert!(t.is_done());
@@ -239,7 +205,8 @@ mod tests {
         assert_eq!(t.complete(&g, e[0]), vec![e[1]]);
         assert!(t.complete(&g, e[0]).is_empty(), "double completion");
         assert!(t.complete(&g, e[3]).is_empty(), "edge outside the plan");
-        assert_eq!(t.pending(), 1);
+        assert_eq!(t.ready(), vec![e[1]]);
+        assert!(!t.is_done());
     }
 
     #[test]
@@ -268,6 +235,6 @@ mod tests {
     fn sources_make_edges_immediately_ready() {
         let (g, n, e) = diamond();
         // With b and c available as sources, the join is ready at once.
-        assert_eq!(ready_frontier(&g, &[e[3]], &[n[2], n[3]]), vec![e[3]]);
+        assert_eq!(InDegreeTracker::new(&g, &[e[3]], &[n[2], n[3]]).ready(), vec![e[3]]);
     }
 }

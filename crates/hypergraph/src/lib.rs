@@ -20,9 +20,8 @@
 //! - [`connectivity`]: linear-time B-connectivity (Gallo et al. 1993) used to
 //!   decide whether a plan is executable;
 //! - [`subgraph`]: sub-hypergraph views, plan validation and minimality;
-//! - [`frontier`]: per-edge in-degree tracking and the ready frontier, the
-//!   shared substrate of serial ordering and concurrent wavefront
-//!   scheduling;
+//! - [`frontier`]: per-edge in-degree tracking, the substrate of
+//!   execution ordering;
 //! - [`shortest`]: Gallo–Longo–Pallottino SBT-style shortest-hyperpath
 //!   relaxation producing admissible per-node derivation-cost lower bounds
 //!   (the planner's A* heuristic substrate);
@@ -42,7 +41,7 @@ pub mod subgraph;
 pub mod topo;
 
 pub use connectivity::{b_closure, is_b_connected, NodeBitSet};
-pub use frontier::{ready_frontier, InDegreeTracker};
+pub use frontier::InDegreeTracker;
 pub use graph::{EdgeRef, GrowthDelta, GrowthStep, HyperGraph, NodeRef};
 pub use ids::{mix64, EdgeId, NodeId};
 pub use shortest::{

@@ -22,7 +22,7 @@
 //!
 //! | rule | family | flags |
 //! |------|--------|-------|
-//! | `nondeterministic-iteration` | determinism | `HashMap`/`HashSet` iteration in planner/runtime/hypergraph code |
+//! | `nondeterministic-iteration` | determinism | `HashMap`/`HashSet` iteration in planner/serving/hypergraph code |
 //! | `wall-clock-in-planner` | determinism | `Instant::now`/`SystemTime::now` in plan-decision code |
 //! | `relaxed-ordering-justified` | concurrency | weak/RMW atomic orderings without a written justification |
 //! | `nested-lock-acquire` | concurrency | a lock acquired while another guard is plausibly live (same fn) |

@@ -69,14 +69,14 @@ pub fn rule_family(rule: &str) -> &'static str {
 /// Code that must produce bit-identical results under any thread count and
 /// in every process: the planner, the submission engine and the catalog
 /// state it commits (history, materializer — their iteration order reaches
-/// the WAL), the runtime, the serving layer, and the hypergraph kernels.
+/// the WAL), the serving layer with its shared backend, and the hypergraph
+/// kernels.
 const DETERMINISM_SCOPE: &[&str] = &[
     "crates/core/src/optimizer/",
     "crates/core/src/engine.rs",
     "crates/core/src/system.rs",
     "crates/core/src/history.rs",
     "crates/core/src/materialize.rs",
-    "crates/runtime/src/",
     "crates/serve/src/",
     "crates/hypergraph/src/",
 ];
@@ -87,10 +87,10 @@ const PLANNER_SCOPE: &[&str] = &["crates/core/src/optimizer/", "crates/hypergrap
 
 /// Concurrency-audited code: atomics and lock nesting carry justifications.
 /// `crates/persist` joined the scope with `GroupCommitWal` — the WAL mutexes
-/// and fsync-absorption counters are as concurrency-critical as the runtime.
+/// and fsync-absorption counters are as concurrency-critical as the serving
+/// layer.
 const CONCURRENCY_SCOPE: &[&str] = &[
     "crates/core/src/optimizer/",
-    "crates/runtime/src/",
     "crates/serve/src/",
     "crates/persist/src/",
     "crates/sched/src/",
@@ -102,12 +102,12 @@ const CONCURRENCY_SCOPE: &[&str] = &[
 /// Benches and tests that truly need a raw thread annotate why.
 const SCHED_CRATE: &str = "crates/sched/";
 
-/// Durability-audited code: the core system and the runtime hold state the
+/// Durability-audited code: the core system and the serving layer hold state the
 /// WAL and snapshot recovery must be able to rebuild, so raw filesystem
 /// mutation there either goes through `core::persist::atomic_write` /
 /// `hyppo-persist` or carries a written justification. The persist crate
 /// itself is where such writes belong and is deliberately out of scope.
-const DURABILITY_SCOPE: &[&str] = &["crates/core/src/", "crates/runtime/src/", "crates/serve/src/"];
+const DURABILITY_SCOPE: &[&str] = &["crates/core/src/", "crates/serve/src/"];
 
 fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|p| rel_path.starts_with(p))

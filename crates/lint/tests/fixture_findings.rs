@@ -91,7 +91,7 @@ fn direct_fs_write_fixture_pair() {
     assert_eq!(lint_fixture("direct_fs_ok.rs"), vec![]);
 }
 
-/// The durability rule scopes to `core`/`runtime`: the persist crate *is*
+/// The durability rule scopes to `core`/`serve`: the persist crate *is*
 /// the sanctioned write path, and bench code owns its own output files.
 #[test]
 fn direct_fs_write_stays_out_of_the_persist_crate() {

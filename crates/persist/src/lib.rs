@@ -9,7 +9,7 @@
 //! - [`wal`] — an append-only, CRC-framed write-ahead log of
 //!   [`hyppo_core::durable::DurableEvent`]s. [`WalHook`] plugs into
 //!   [`hyppo_core::system::Hyppo::attach_durability`] (or the shared
-//!   runtime facade) and fsyncs each submission's events before the
+//!   backend's, in `hyppo-serve`) and fsyncs each submission's events before the
 //!   submission returns. Torn or corrupt tails are detected by CRC and
 //!   physically truncated on open.
 //! - [`group`] — [`GroupCommitWal`], the serving-layer variant of the

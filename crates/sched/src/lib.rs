@@ -1,6 +1,5 @@
-//! `hyppo-sched` — the one work-stealing scheduler behind HYPPO's two
-//! concurrent subsystems: the wavefront plan executor (`hyppo-runtime`) and
-//! the multi-tenant serving actors (`hyppo-serve`).
+//! `hyppo-sched` — the work-stealing scheduler behind HYPPO's multi-tenant
+//! serving actors (`hyppo-serve`).
 //!
 //! # Shape
 //!
@@ -12,7 +11,11 @@
 //!   from the front under the victim's lock. Queues are unbounded, so a
 //!   spawn never overflows.
 //! * **A global injector** (`Mutex<VecDeque>`): external threads
-//!   [`inject`](Scheduler::inject) here.
+//!   [`inject`](Scheduler::inject) here. Pushes and claims are numbered
+//!   under its lock, so a claimer learns exactly how many injector claims
+//!   fell between an item's push and its own
+//!   ([`Worker::claims_ahead`]) — its queue position, whatever the OS
+//!   scheduler did to the threads in between.
 //!
 //! An idle worker scans in order: own queue → injector → steal from each
 //! sibling round-robin, holding at most one queue lock at a time. Only
@@ -22,8 +25,8 @@
 //!
 //! # Service mode
 //!
-//! Pools are long-lived (executor waves, serve actors), so an empty moment
-//! does not mean "done". [`Worker::next_step`] claims one item or returns
+//! Pools are long-lived (the serving actors' is), so an empty moment does
+//! not mean "done". [`Worker::next_step`] claims one item or returns
 //! [`Step::Idle`] with a generation token; the caller may do idle work
 //! (flush durability, check drain conditions) and then
 //! [`park`](Worker::park) on the token, waking on new work or
@@ -66,10 +69,8 @@
 //!
 //! The scheduler makes **no ordering promises** beyond per-queue LIFO and
 //! injector FIFO; consumers that need deterministic *results* must be
-//! correct under arbitrary interleavings. Both HYPPO consumers are — the
-//! executor assigns each artifact a serial-order designated producer, and
-//! serve keys every tenant turn off a per-tenant epoch — see DESIGN.md §16
-//! for the full argument.
+//! correct under arbitrary interleavings. Serve is: it keys every tenant
+//! turn off a per-tenant epoch — see DESIGN.md §16 for the full argument.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -112,7 +113,7 @@ pub struct IdleToken {
 pub struct SchedStats {
     /// Items entered via [`Worker::spawn`].
     pub spawned: u64,
-    /// Items entered via [`Scheduler::inject`]/[`Scheduler::inject_batch`].
+    /// Items entered via [`Scheduler::inject`].
     pub injected: u64,
     /// Items retired (claimed and then completed by a worker).
     pub completed: u64,
@@ -162,7 +163,7 @@ pub struct Scheduler<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
     /// One flag per worker slot: a [`Worker`] handle is exclusive.
     handles: Vec<AtomicBool>,
-    injector: Mutex<VecDeque<T>>,
+    injector: Mutex<Injector<T>>,
     shutdown: AtomicBool,
     /// Bumped (SeqCst) on every publish and shutdown; parking
     /// re-checks it under the sleep lock so wakeups cannot be lost.
@@ -189,7 +190,7 @@ impl<T> Scheduler<T> {
         Scheduler {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             handles: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            injector: Mutex::new(VecDeque::new()),
+            injector: Mutex::new(Injector { queue: VecDeque::new(), claims: 0 }),
             shutdown: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
@@ -226,23 +227,9 @@ impl<T> Scheduler<T> {
     /// Push one item through the global injector (the cold path, for
     /// threads without a [`Worker`] handle) and wake a parked worker.
     pub fn inject(&self, item: T) {
-        self.injector.lock().unwrap().push_back(item);
+        self.injector.lock().unwrap().push(item);
         Counters::bump(&self.stats.injected, 1);
         self.signal();
-    }
-
-    /// Push a batch through the injector under one lock acquisition.
-    /// Returns how many items were injected.
-    pub fn inject_batch(&self, items: impl IntoIterator<Item = T>) -> usize {
-        let staged: Vec<T> = items.into_iter().collect();
-        let n = staged.len();
-        if n == 0 {
-            return 0;
-        }
-        self.injector.lock().unwrap().extend(staged);
-        Counters::bump(&self.stats.injected, n as u64);
-        self.signal();
-        n
     }
 
     /// Tell every worker to exit: parked workers wake into
@@ -269,7 +256,7 @@ impl<T> Scheduler<T> {
             !self.handles[index].swap(true, Ordering::SeqCst),
             "worker slot {index} is already claimed"
         );
-        Worker { sched: self, index, in_flight: false, _not_sync: PhantomData }
+        Worker { sched: self, index, in_flight: false, claims_ahead: None, _not_sync: PhantomData }
     }
 
     /// Run worker threads in **service mode** with a driver on the calling
@@ -367,6 +354,28 @@ impl<T: Send + 'static> Scheduler<T> {
     }
 }
 
+/// The global FIFO. Each queued item carries the claim count at its push;
+/// both numbers change only under the injector lock.
+struct Injector<T> {
+    queue: VecDeque<(T, u64)>,
+    /// Items claimed from the injector so far.
+    claims: u64,
+}
+
+impl<T> Injector<T> {
+    fn push(&mut self, item: T) {
+        self.queue.push_back((item, self.claims));
+    }
+
+    /// Claim the oldest item with the number of claims made since its push.
+    fn claim(&mut self) -> Option<(T, u64)> {
+        let (item, claims_at_push) = self.queue.pop_front()?;
+        let ahead = self.claims - claims_at_push;
+        self.claims += 1;
+        Some((item, ahead))
+    }
+}
+
 /// Calls [`Scheduler::shutdown`] on drop (normal return *and* unwind).
 struct ShutdownOnDrop<'s, T>(&'s Scheduler<T>);
 
@@ -386,6 +395,8 @@ pub struct Worker<'s, T> {
     /// Whether the last [`next_step`](Self::next_step) claimed an item,
     /// which is retired at the next call.
     in_flight: bool,
+    /// [`claims_ahead`](Self::claims_ahead) of the current claim.
+    claims_ahead: Option<u64>,
     _not_sync: PhantomData<*const ()>,
 }
 
@@ -427,12 +438,23 @@ impl<T> Worker<'_, T> {
             return Step::Shutdown;
         }
         match self.try_claim() {
-            Some(t) => {
+            Some((t, ahead)) => {
                 self.in_flight = true;
+                self.claims_ahead = ahead;
                 Step::Task(t)
             }
             None => Step::Idle(IdleToken { generation: g0 }),
         }
+    }
+
+    /// For the item the last [`next_step`](Self::next_step) claimed from
+    /// the injector: how many injector claims, by any worker, fell between
+    /// its push and its own claim. That is its position in the FIFO when it
+    /// was pushed, counted under the injector lock, so thread preemption
+    /// between a claim and whatever the claimer does next cannot skew it.
+    /// `None` for an item taken from a worker queue.
+    pub fn claims_ahead(&self) -> Option<u64> {
+        self.claims_ahead
     }
 
     /// Sleep until work is published or the scheduler shuts down. The
@@ -443,23 +465,23 @@ impl<T> Worker<'_, T> {
     }
 
     /// One scan: own queue first, then the injector, then steal from each
-    /// sibling round-robin.
-    fn try_claim(&self) -> Option<T> {
+    /// sibling round-robin. Injector claims come with their claims ahead.
+    fn try_claim(&self) -> Option<(T, Option<u64>)> {
         let sched = self.sched;
         if let Some(t) = sched.pop(self.index) {
             Counters::bump(&sched.stats.local_pops, 1);
-            return Some(t);
+            return Some((t, None));
         }
-        let injected = sched.injector.lock().unwrap().pop_front();
-        if let Some(t) = injected {
+        let injected = sched.injector.lock().unwrap().claim();
+        if let Some((t, ahead)) = injected {
             Counters::bump(&sched.stats.injector_claims, 1);
-            return Some(t);
+            return Some((t, Some(ahead)));
         }
         let workers = sched.queues.len();
         for k in 1..workers {
             if let Some(t) = sched.steal((self.index + k) % workers) {
                 Counters::bump(&sched.stats.steals, 1);
-                return Some(t);
+                return Some((t, None));
             }
         }
         Counters::bump(&sched.stats.empty_scans, 1);

@@ -112,31 +112,28 @@ fn dropping_a_worker_releases_its_slot() {
 }
 
 #[test]
-fn inject_batch_counts_and_drains() {
-    let sched: Scheduler<u32> = Scheduler::new(2);
-    let processed = AtomicUsize::new(0);
-    sched.run_with_driver(
-        || {
-            assert_eq!(sched.inject_batch(0..10), 10);
-            assert_eq!(sched.inject_batch(std::iter::empty()), 0);
-            while processed.load(O::SeqCst) < 10 {
-                std::thread::yield_now();
-            }
-        },
-        |mut w| loop {
-            match w.next_step() {
-                Step::Task(_) => {
-                    processed.fetch_add(1, O::SeqCst);
-                }
-                Step::Idle(token) => w.park(token),
-                Step::Shutdown => return,
-            }
-        },
-    );
-    assert_eq!(processed.load(O::SeqCst), 10);
+fn injector_claims_count_the_claims_since_each_push() {
+    let sched: Scheduler<u64> = Scheduler::new(1);
+    let mut w = sched.worker(0);
+    for i in 0..3 {
+        sched.inject(i);
+    }
+    // Pushed together: the k-th claim had k claims ahead of it.
+    for k in 0..3 {
+        assert!(matches!(w.next_step(), Step::Task(t) if t == k));
+        assert_eq!(w.claims_ahead(), Some(k));
+    }
+    // Pushed after those claims: nothing ahead.
+    sched.inject(3);
+    assert!(matches!(w.next_step(), Step::Task(3)));
+    assert_eq!(w.claims_ahead(), Some(0));
+    // A worker-queue item has no injector position.
+    w.spawn(4);
+    assert!(matches!(w.next_step(), Step::Task(4)));
+    assert_eq!(w.claims_ahead(), None);
     let stats = sched.stats();
-    assert_eq!(stats.injected, 10);
-    assert_eq!(stats.injector_claims, 10, "every item claimed once, from the injector");
+    assert_eq!(stats.injected, 4);
+    assert_eq!(stats.injector_claims, 4, "every injected item claimed once, from the injector");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Concurrent exploratory sessions over one shared HYPPO state.
+//! The shared backend: one HYPPO state that many threads submit against.
 //!
 //! [`SharedHyppo`] is the thread-safe engine backend
 //! ([`hyppo_core::engine`]) next to the serial [`Hyppo`](hyppo_core::Hyppo).
@@ -12,22 +12,19 @@
 //! [`DurabilityHook`] inside the critical section, so WAL order is epoch
 //! order (DESIGN.md §14 states and proves the invariant).
 //!
-//! Artifacts live in a sharded [`SharedArtifactStore`], and Real-mode plans
-//! run on the wavefront executor. A plan can still lose a race with another
-//! session's eviction; the engine then replans from a fresh snapshot. The
-//! serving layer (`hyppo-serve`) drives many tenants against one
-//! `SharedHyppo` through mailbox actors.
+//! Artifacts live in a sharded [`SharedArtifactStore`], and every plan runs
+//! on the engine's serial executor: concurrency comes from tenants running
+//! side by side, not from inside one plan. A plan can still lose a race
+//! with another session's eviction; the engine then replans from a fresh
+//! snapshot. The serving runtime ([`ServeRuntime`](crate::ServeRuntime))
+//! drives many tenants against one `SharedHyppo` through mailbox actors.
 
-use crate::executor::{execute_plan_parallel, WavefrontMetrics};
-use crate::store::{SharedArtifactStore, DEFAULT_SHARDS};
-use hyppo_core::augment::Augmentation;
+use crate::store::SharedArtifactStore;
 use hyppo_core::durable::DurabilityHook;
 pub use hyppo_core::engine::EpochStamp;
 use hyppo_core::engine::{self, Backend, Run};
-use hyppo_core::executor::{execute_plan, ExecError, ExecMode, ExecOutcome};
-use hyppo_core::optimizer::Plan;
 use hyppo_core::system::{BatchRunReport, HyppoConfig, RunReport, SubmitError};
-use hyppo_core::{ArtifactStore, CostEstimator, History, PlannerBoundsCache};
+use hyppo_core::{ArtifactStore, CostEstimator, History, PlannerBoundsCache, Session};
 use hyppo_pipeline::{ArtifactName, PipelineSpec};
 use hyppo_tensor::Dataset;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,16 +50,9 @@ pub struct CatalogVersion {
     pub estimator: CostEstimator,
 }
 
-/// Everything one shared submission produced.
-#[derive(Clone, Debug)]
-pub struct SharedRun {
-    /// The submission report (same shape as the serial facade's).
-    pub report: RunReport,
-    /// What the wavefront executor saw.
-    pub wave: WavefrontMetrics,
-    /// Snapshot/commit epochs (staleness via [`EpochStamp::lag`]).
-    pub epochs: EpochStamp,
-}
+/// Everything one shared submission produced: its report and its
+/// snapshot/commit epochs (staleness via [`EpochStamp::lag`]).
+pub type SharedRun = Run;
 
 /// Everything one shared *batch* submission produced.
 #[derive(Clone, Debug)]
@@ -74,8 +64,7 @@ pub struct SharedBatchRun {
     pub epochs: EpochStamp,
 }
 
-/// Thread-safe HYPPO: epoch-versioned catalog, shared artifact store, and
-/// wavefront plan execution.
+/// Thread-safe HYPPO: epoch-versioned catalog and shared artifact store.
 #[derive(Debug)]
 pub struct SharedHyppo {
     /// Configuration (shared read-only across sessions).
@@ -95,15 +84,9 @@ pub struct SharedHyppo {
 }
 
 impl SharedHyppo {
-    /// Fresh shared system with [`DEFAULT_SHARDS`] store shards.
+    /// Fresh shared system.
     pub fn new(config: HyppoConfig) -> Self {
-        SharedHyppo::from_parts(
-            config,
-            History::new(),
-            CostEstimator::new(),
-            ArtifactStore::new(),
-            DEFAULT_SHARDS,
-        )
+        SharedHyppo::from_parts(config, History::new(), CostEstimator::new(), ArtifactStore::new())
     }
 
     /// Wrap existing state (typically moved out of a serial [`Hyppo`](hyppo_core::Hyppo)).
@@ -112,12 +95,11 @@ impl SharedHyppo {
         history: History,
         estimator: CostEstimator,
         store: ArtifactStore,
-        n_shards: usize,
     ) -> Self {
         SharedHyppo {
             config,
             catalog: RwLock::new(Arc::new(CatalogVersion { epoch: 0, history, estimator })),
-            store: SharedArtifactStore::from_store(store, n_shards),
+            store: SharedArtifactStore::from_store(store),
             cumulative_seconds: Mutex::new(0.0),
             lock_wait_nanos: AtomicU64::new(0),
             bounds_cache: Arc::new(PlannerBoundsCache::new()),
@@ -258,190 +240,112 @@ impl SharedHyppo {
         self.lock_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Submit one pipeline, executing its plan on `workers` wavefront
-    /// threads. Safe to call from many threads at once.
-    pub fn submit_shared(
-        &self,
-        spec: PipelineSpec,
-        workers: usize,
-    ) -> Result<SharedRun, SubmitError> {
-        engine::submit(&mut self.backend(workers), spec).map(SharedRun::from)
+    /// Submit one pipeline. Safe to call from many threads at once.
+    pub fn submit_shared(&self, spec: PipelineSpec) -> Result<SharedRun, SubmitError> {
+        engine::submit(&mut &*self, spec)
     }
 
     /// Retrieve previously computed artifacts by name (paper Scenario 2),
     /// planning over the shared history's alternatives only. Safe to call
     /// from many threads at once.
-    pub fn retrieve_shared(
-        &self,
-        names: &[ArtifactName],
-        workers: usize,
-    ) -> Result<SharedRun, SubmitError> {
-        engine::retrieve(&mut self.backend(workers), names).map(SharedRun::from)
+    pub fn retrieve_shared(&self, names: &[ArtifactName]) -> Result<SharedRun, SubmitError> {
+        engine::retrieve(&mut &*self, names)
     }
 
     /// Submit K pipelines as one jointly planned batch (the concurrent
     /// counterpart of [`Hyppo::submit_batch`](hyppo_core::Hyppo::submit_batch)):
     /// augment and cost-annotate all K against one epoch snapshot, plan
     /// them together through the shared bounds cache, then execute and
-    /// commit each item in order on `workers` wavefront threads. An item
-    /// that loses a race with eviction — its own batch's materialization or
-    /// a concurrent session's — falls back to a full replan, counted in
-    /// [`BatchRunReport::replans`].
+    /// commit each item in order. An item that loses a race with eviction —
+    /// its own batch's materialization or a concurrent session's — falls
+    /// back to a full replan, counted in [`BatchRunReport::replans`].
     pub fn submit_batch_shared(
         &self,
         specs: Vec<PipelineSpec>,
-        workers: usize,
     ) -> Result<SharedBatchRun, SubmitError> {
-        engine::submit_batch(&mut self.backend(workers), specs)
+        engine::submit_batch(&mut &*self, specs)
             .map(|(batch, epochs)| SharedBatchRun { batch, epochs })
     }
-
-    fn backend(&self, workers: usize) -> SharedBackend<'_> {
-        SharedBackend { sys: self, workers }
-    }
 }
 
-impl From<Run<WavefrontMetrics>> for SharedRun {
-    fn from(run: Run<WavefrontMetrics>) -> Self {
-        SharedRun { report: run.report, wave: run.exec, epochs: run.epochs }
-    }
-}
-
-/// [`SharedHyppo`] as an engine backend: plans read an epoch snapshot
-/// (dropped as soon as planning ends), plans run on `workers` wavefront
-/// threads (or the virtual clock), and commits go through
-/// [`SharedHyppo::commit`].
-struct SharedBackend<'a> {
-    sys: &'a SharedHyppo,
-    workers: usize,
-}
-
-impl Backend for SharedBackend<'_> {
+/// [`SharedHyppo`] as an engine backend, by shared reference so many
+/// threads submit at once: plans read an epoch snapshot (dropped as soon
+/// as planning ends), and commits go through the catalog write lock.
+impl Backend for &SharedHyppo {
     type Store = SharedArtifactStore;
-    type ExecInfo = WavefrontMetrics;
 
     fn config(&self) -> &HyppoConfig {
-        &self.sys.config
+        &self.config
     }
 
     fn bounds_cache(&self) -> &Arc<PlannerBoundsCache> {
-        &self.sys.bounds_cache
+        &self.bounds_cache
     }
 
     fn store(&self) -> &SharedArtifactStore {
-        &self.sys.store
+        &self.store
     }
 
     fn plan_view<R>(&self, plan: impl FnOnce(&History, &CostEstimator) -> R) -> (R, u64) {
-        let snap = self.sys.snapshot();
+        let snap = self.snapshot();
         (plan(&snap.history, &snap.estimator), snap.epoch)
-    }
-
-    fn execute(
-        &self,
-        aug: &Augmentation,
-        plan: &Plan,
-        costs: &[f64],
-    ) -> Result<(ExecOutcome, WavefrontMetrics), ExecError> {
-        if self.sys.config.mode == ExecMode::Real {
-            let run = execute_plan_parallel(aug, &plan.edges, &self.sys.store, self.workers)?;
-            return Ok((run.outcome, run.metrics));
-        }
-        let outcome = execute_plan(aug, &plan.edges, &self.sys.store, ExecMode::Simulated, costs)?;
-        let wave = WavefrontMetrics {
-            workers: 1,
-            dispatched: outcome.metrics.len(),
-            peak_concurrency: 1,
-            wall_seconds: outcome.total_seconds,
-            task_seconds: outcome.total_seconds,
-        };
-        Ok((outcome, wave))
     }
 
     fn commit<R>(
         &mut self,
         mutate: impl FnOnce(&mut History, &mut CostEstimator, &mut SharedArtifactStore) -> R,
     ) -> (R, u64, std::io::Result<()>) {
-        let mut store = self.sys.store.clone();
-        self.sys.commit(|history, estimator| mutate(history, estimator, &mut store))
+        let mut store = self.store.clone();
+        SharedHyppo::commit(self, |history, estimator| mutate(history, estimator, &mut store))
     }
 
     fn add_cumulative_seconds(&mut self, seconds: f64) {
-        *self.sys.cumulative_seconds.lock().unwrap_or_else(|e| e.into_inner()) += seconds;
+        *self.cumulative_seconds.lock().unwrap_or_else(|e| e.into_inner()) += seconds;
     }
 }
 
-/// One analyst's session against a [`SharedHyppo`], behind the core
-/// [`Session`](hyppo_core::Session) trait — so harnesses written against
-/// `Session` (the baselines crate's `SessionMethod`, benches, examples)
-/// drive the concurrent backend exactly like the serial one.
-///
-/// Generic over how the backend is held: own it (`SharedSession<SharedHyppo>`,
-/// the default), or share it (`SharedSession<Arc<SharedHyppo>>`) so several
-/// sessions hit one state — the collaborative setting. For multi-tenant
-/// serving with admission control and mailbox actors, use `hyppo-serve`'s
-/// `Client` instead.
-#[derive(Debug)]
-pub struct SharedSession<T = SharedHyppo> {
-    backend: T,
-    workers: usize,
-}
-
-impl<T: std::borrow::Borrow<SharedHyppo>> SharedSession<T> {
-    /// Drive `backend`, executing each plan on `workers` wavefront threads.
-    pub fn new(backend: T, workers: usize) -> Self {
-        SharedSession { backend, workers: workers.max(1) }
-    }
-
-    /// The wrapped backend.
-    pub fn backend(&self) -> &SharedHyppo {
-        self.backend.borrow()
-    }
-
-    /// Unwrap the backend.
-    pub fn into_inner(self) -> T {
-        self.backend
-    }
-}
-
-impl<T: std::borrow::Borrow<SharedHyppo>> hyppo_core::Session for SharedSession<T> {
+/// [`SharedHyppo`] behind the core [`Session`] trait, so harnesses written
+/// against `Session` (the baselines crate's `SessionMethod`, benches,
+/// examples) drive the shared backend exactly like the serial one. For
+/// several sessions over one backend, open serve [`Client`](crate::Client)s.
+impl Session for SharedHyppo {
     fn backend_name(&self) -> &'static str {
         "HYPPO-shared"
     }
 
     fn register_dataset(&mut self, id: &str, dataset: Dataset) {
-        self.backend().register_dataset(id, dataset);
+        SharedHyppo::register_dataset(self, id, dataset);
     }
 
     fn submit(&mut self, spec: PipelineSpec) -> Result<RunReport, SubmitError> {
-        self.backend().submit_shared(spec, self.workers).map(|run| run.report)
+        self.submit_shared(spec).map(|run| run.report)
     }
 
     fn submit_batch(&mut self, specs: Vec<PipelineSpec>) -> Result<Vec<RunReport>, SubmitError> {
-        self.backend().submit_batch_shared(specs, self.workers).map(|b| b.batch.reports)
+        self.submit_batch_shared(specs).map(|b| b.batch.reports)
     }
 
     fn retrieve(&mut self, names: &[ArtifactName]) -> Result<RunReport, SubmitError> {
-        self.backend().retrieve_shared(names, self.workers).map(|run| run.report)
+        self.retrieve_shared(names).map(|run| run.report)
     }
 
     fn cumulative_seconds(&self) -> f64 {
-        self.backend().cumulative_seconds()
+        SharedHyppo::cumulative_seconds(self)
     }
 
     fn budget_bytes(&self) -> u64 {
-        self.backend().config.budget_bytes
+        self.config.budget_bytes
     }
 
     fn history_artifacts(&self) -> usize {
-        self.backend().snapshot().history.artifact_count()
+        self.snapshot().history.artifact_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyppo_core::Session;
+    use hyppo_core::executor::ExecMode;
     use hyppo_workloads::ensemble_wl::wide_ensemble_spec;
     use hyppo_workloads::taxi;
 
@@ -456,7 +360,7 @@ mod tests {
         let before = shared.snapshot();
         let artifacts_before = before.history.artifact_count();
 
-        let run = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7), 2).unwrap();
+        let run = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
         assert!(run.report.tasks_executed > 0);
         assert!(run.epochs.commit > before.epoch, "commit must bump the epoch");
         assert_eq!(run.epochs.snapshot, before.epoch, "planned against the old snapshot");
@@ -479,10 +383,7 @@ mod tests {
                     let shared = Arc::clone(&shared);
                     scope.spawn(move || {
                         shared
-                            .submit_shared(
-                                wide_ensemble_spec("taxi", 3 + i % 2, 7 + i as u64 % 2),
-                                2,
-                            )
+                            .submit_shared(wide_ensemble_spec("taxi", 3 + i % 2, 7 + i as u64 % 2))
                             .unwrap()
                     })
                 })
@@ -525,7 +426,7 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || {
                     shared
-                        .submit_shared(wide_ensemble_spec("taxi", 3 + i % 2, 7 + i as u64 % 2), 2)
+                        .submit_shared(wide_ensemble_spec("taxi", 3 + i % 2, 7 + i as u64 % 2))
                         .unwrap();
                 });
             }
@@ -540,19 +441,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_drives_the_concurrent_backend() {
-        let mut session = SharedSession::new(SharedHyppo::new(config(64 * 1024 * 1024)), 2);
-        session.register_dataset("taxi", taxi::generate(300, 5));
+    fn shared_hyppo_is_a_session() {
+        let mut session = SharedHyppo::new(config(64 * 1024 * 1024));
+        Session::register_dataset(&mut session, "taxi", taxi::generate(300, 5));
         let report = session.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
         assert!(report.tasks_executed > 0);
         assert_eq!(session.backend_name(), "HYPPO-shared");
-        assert!(session.cumulative_seconds() > 0.0);
+        assert!(Session::cumulative_seconds(&session) > 0.0);
         assert!(session.history_artifacts() > 0);
 
         // Scenario 2 against the shared backend: retrieve recorded value
         // artifacts by name.
         let names: Vec<ArtifactName> = {
-            let snap = session.backend().snapshot();
+            let snap = session.snapshot();
             snap.history
                 .artifact_names()
                 .filter(|&n| {
@@ -568,24 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_sessions_can_share_one_backend_through_an_arc() {
-        let shared = Arc::new(SharedHyppo::new(config(64 * 1024 * 1024)));
+    fn a_resubmission_reuses_the_first_submissions_artifacts() {
+        let shared = SharedHyppo::new(config(64 * 1024 * 1024));
         shared.register_dataset("taxi", taxi::generate(300, 5));
-        let mut a = SharedSession::new(Arc::clone(&shared), 2);
-        let mut b = SharedSession::new(Arc::clone(&shared), 2);
-        a.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
-        let report = b.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
-        assert!(report.loads >= 1, "second session should reuse the first's artifacts");
+        shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
+        let run = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
+        assert!(run.report.loads >= 1, "the second submission should reuse the first's artifacts");
     }
 
     #[test]
     fn bounds_cache_is_shared_and_counters_account_for_every_lookup() {
-        let shared = Arc::new(SharedHyppo::new(config(64 * 1024 * 1024)));
+        let shared = SharedHyppo::new(config(64 * 1024 * 1024));
         shared.register_dataset("taxi", taxi::generate(300, 5));
-        let mut a = SharedSession::new(Arc::clone(&shared), 2);
-        let mut b = SharedSession::new(Arc::clone(&shared), 2);
-        a.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
-        b.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
+        shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
+        shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
         let stats = shared.bounds_stats();
         // Every plan call consulted the shared cache: at least one lookup
         // ran the relaxations, and each lookup landed in exactly one bucket
@@ -608,7 +505,7 @@ mod tests {
             wide_ensemble_spec("taxi", 3, 7),
         ];
         let snapshot_before = shared.current_epoch();
-        let run = shared.submit_batch_shared(specs, 2).unwrap();
+        let run = shared.submit_batch_shared(specs).unwrap();
         let batch = run.batch;
         assert_eq!(batch.reports.len(), 3);
         assert_eq!(batch.batch.items, 3);
@@ -630,21 +527,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_batch_submission_matches_sequential_plans() {
+    fn session_batch_submission_matches_sequential_plans() {
         // Same specs through both paths, against equally fresh backends:
         // planner bit-identity lifts to identical planned costs.
         let specs = || vec![wide_ensemble_spec("taxi", 3, 7), wide_ensemble_spec("taxi", 4, 8)];
-        let mut sequential = SharedSession::new(SharedHyppo::new(config(0)), 2);
-        sequential.register_dataset("taxi", taxi::generate(300, 5));
         let seq: Vec<f64> = specs()
             .into_iter()
             .map(|s| {
-                let fresh = SharedSession::new(SharedHyppo::new(config(0)), 2);
-                fresh.backend().register_dataset("taxi", taxi::generate(300, 5));
-                fresh.backend().submit_shared(s, 2).unwrap().report.planned_cost
+                let fresh = SharedHyppo::new(config(0));
+                fresh.register_dataset("taxi", taxi::generate(300, 5));
+                fresh.submit_shared(s).unwrap().report.planned_cost
             })
             .collect();
-        let mut batched = SharedSession::new(SharedHyppo::new(config(0)), 2);
+        let mut batched = SharedHyppo::new(config(0));
         batched.register_dataset("taxi", taxi::generate(300, 5));
         let reports = Session::submit_batch(&mut batched, specs()).unwrap();
         assert_eq!(reports.len(), 2);
@@ -668,7 +563,7 @@ mod tests {
         shared.register_dataset("taxi", taxi::generate(100, 5));
         shared.attach_durability(Box::new(FailingHook));
         let before = shared.current_epoch();
-        let err = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7), 1).unwrap_err();
+        let err = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap_err();
         assert!(matches!(err, SubmitError::Durability(_)), "{err}");
         assert_eq!(shared.current_epoch(), before + 1, "the commit applied");
         assert!(shared.cumulative_seconds() > 0.0, "so its execution time counts");
@@ -678,7 +573,7 @@ mod tests {
     fn simulated_mode_runs_on_the_virtual_clock() {
         let shared = SharedHyppo::new(HyppoConfig { mode: ExecMode::Simulated, ..config(0) });
         shared.register_dataset("taxi", taxi::generate(100, 5));
-        let run = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7), 4).unwrap();
+        let run = shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
         assert!(run.report.values.is_empty());
         assert!(run.report.execution_seconds > 0.0);
     }

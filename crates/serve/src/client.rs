@@ -20,11 +20,11 @@
 //! [`ServeRuntime`]: crate::ServeRuntime
 //! [`Session`]: hyppo_core::Session
 
+use crate::backend::{SharedBatchRun, SharedRun};
 use crate::runtime::{Request, Response, ServeError, ServeMetrics, Shared, Ticket, TicketStats};
 use hyppo_core::system::{BatchRunReport, RunReport, SubmitError};
 use hyppo_core::Session;
 use hyppo_pipeline::{ArtifactName, PipelineSpec};
-use hyppo_runtime::{SharedBatchRun, SharedRun};
 use hyppo_tensor::Dataset;
 use std::sync::Arc;
 
@@ -87,10 +87,10 @@ impl Client {
 }
 
 /// Everything a completed submission carried, for callers that want more
-/// than the [`RunReport`]: executor metrics, epoch stamps, queueing times.
+/// than the [`RunReport`]: epoch stamps and queueing times.
 #[derive(Clone, Debug)]
 pub struct CompletedSubmission {
-    /// The full shared-run result (report + wavefront metrics + epochs).
+    /// The full shared-run result (report + epochs).
     pub run: SharedRun,
     /// Queueing/service/staleness stats for this submission.
     pub stats: TicketStats,
@@ -112,7 +112,7 @@ impl SubmissionHandle {
     }
 
     /// Block until the submission completes, returning the full result:
-    /// report, wavefront metrics, epoch stamps, and queueing stats.
+    /// report, epoch stamps, and queueing stats.
     pub fn wait_completed(self) -> Result<CompletedSubmission, ServeError> {
         match self.ticket.wait()? {
             Response::One(run) => Ok(CompletedSubmission { run, stats: self.ticket.stats() }),

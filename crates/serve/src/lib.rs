@@ -3,8 +3,9 @@
 //! HYPPO's reuse compounds when it runs as a long-lived service: many
 //! analysts iterating on pipelines against one shared history, each new
 //! submission planning over everything every tenant computed before it.
-//! This crate turns the embedded [`SharedHyppo`] backend into that
-//! service:
+//! This crate holds the thread-safe backend, [`SharedHyppo`] (an
+//! epoch-versioned catalog over a sharded [`SharedArtifactStore`]), and
+//! turns it into that service:
 //!
 //! - **Sessions are actors.** Each tenant owns a FIFO mailbox of
 //!   submission tickets; a thread-pool of workers drains runnable tenants
@@ -15,12 +16,11 @@
 //!   [`ServeError::Busy`] or blocks the submitter, per
 //!   [`AdmissionPolicy`] — backpressure instead of unbounded queues.
 //! - **Reads are epoch snapshots.** Planners run against immutable
-//!   [`CatalogVersion`](hyppo_runtime::CatalogVersion) snapshots while
-//!   other tenants commit; every result carries its snapshot/commit
-//!   epochs, and DESIGN.md §14 proves a plan at epoch `E` is unaffected
-//!   by commits `> E`. Per-tenant results are **bit-identical** to
-//!   replaying that tenant alone at equal history epochs (the
-//!   determinism suite enforces this across 50+ seeds).
+//!   [`CatalogVersion`] snapshots while other tenants commit; every result
+//!   carries its snapshot/commit epochs, and DESIGN.md §14 proves a plan
+//!   at epoch `E` is unaffected by commits `> E`. Per-tenant results are
+//!   **bit-identical** to replaying that tenant alone at equal history
+//!   epochs (the determinism suite enforces this across 50+ seeds).
 //! - **Durability group-commits.** With a
 //!   [`GroupCommitWal`](hyppo_persist::GroupCommitWal) attached, commit
 //!   epochs buffer in order and the runtime pays one fsync per commit
@@ -33,8 +33,7 @@
 //! harness written against it drives the serving layer unchanged.
 //!
 //! ```
-//! use hyppo_serve::{ServeConfig, ServeRuntime};
-//! use hyppo_runtime::SharedHyppo;
+//! use hyppo_serve::{ServeConfig, ServeRuntime, SharedHyppo};
 //! use hyppo_core::HyppoConfig;
 //! # use hyppo_workloads::{taxi, ensemble_wl::wide_ensemble_spec};
 //!
@@ -54,9 +53,13 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod backend;
 pub mod client;
 pub mod runtime;
 pub mod sessions;
+pub mod store;
+
+pub use backend::{CatalogVersion, EpochStamp, SharedBatchRun, SharedHyppo, SharedRun};
 
 pub use client::{BatchHandle, Client, CompletedSubmission, SubmissionHandle};
 pub use runtime::{
@@ -65,7 +68,4 @@ pub use runtime::{
 pub use sessions::{
     run_sessions_concurrent, ConcurrentSessions, RuntimeMetrics, SessionReport, SessionsOutcome,
 };
-
-// Re-exported so serving callers see one coherent API without importing
-// the runtime crate for the common types.
-pub use hyppo_runtime::{EpochStamp, SharedHyppo};
+pub use store::SharedArtifactStore;

@@ -11,9 +11,11 @@
 //! and the worker that finishes a tenant's turn re-injects it when mail
 //! remains. The injector is FIFO, so a busy tenant's next turn queues
 //! behind every tenant already waiting: with K tenants runnable, each one
-//! runs within K + 1 turns however much mail the others hold. Planning
-//! happens against the backend's epoch snapshots, so tenants only
-//! serialize at the commit point — never across plan search.
+//! runs within K + 1 turns however much mail the others hold. Each turn
+//! records how many turns were claimed between its injection and its own
+//! claim ([`TicketStats::queue_position`]), counted under the injector
+//! lock. Planning happens against the backend's epoch snapshots, so
+//! tenants only serialize at the commit point — never across plan search.
 //!
 //! Admission is bounded per tenant: a full mailbox either rejects new
 //! submissions with [`ServeError::Busy`] ([`AdmissionPolicy::Reject`]) or
@@ -28,10 +30,10 @@
 //! appears at most once in the whole scheduler — stealing moves the copy,
 //! never duplicates it (DESIGN.md §16 restates the argument).
 
+use crate::backend::{SharedBatchRun, SharedHyppo, SharedRun};
 use hyppo_core::system::SubmitError;
 use hyppo_persist::GroupCommitWal;
 use hyppo_pipeline::{ArtifactName, PipelineSpec};
-use hyppo_runtime::{SharedBatchRun, SharedHyppo, SharedRun};
 use hyppo_sched::{SchedStats, Scheduler, Step, Worker};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,7 +57,9 @@ pub enum AdmissionPolicy {
 pub struct ServeConfig {
     /// Worker threads draining tenant mailboxes.
     pub workers: usize,
-    /// Wavefront executor threads per plan.
+    /// Inert: every plan executes serially on the worker that claimed its
+    /// tenant, whatever this says. Kept so existing configurations still
+    /// compile; it selects nothing.
     pub plan_workers: usize,
     /// Per-tenant mailbox capacity (admission bound).
     pub mailbox_capacity: usize,
@@ -71,7 +75,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            plan_workers: 2,
+            plan_workers: 1,
             mailbox_capacity: 64,
             admission: AdmissionPolicy::Block,
             commit_group: 8,
@@ -165,8 +169,14 @@ pub struct TicketStats {
     /// Snapshot-staleness of its commit ([`EpochStamp::lag`]): how many
     /// other tenants' commits landed between its snapshot and its commit.
     ///
-    /// [`EpochStamp::lag`]: hyppo_runtime::EpochStamp::lag
+    /// [`EpochStamp::lag`]: crate::EpochStamp::lag
     pub epoch_lag: u64,
+    /// Tenant turns claimed between the injection of this ticket's turn
+    /// into the run queue and the turn's own claim: its queue position,
+    /// counted under the scheduler's injector lock
+    /// ([`Worker::claims_ahead`]), so preemption cannot skew it. `None`
+    /// for a turn that did not come through the injector.
+    pub queue_position: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -409,6 +419,8 @@ impl Shared {
         loop {
             match w.next_step() {
                 Step::Task(tenant) => {
+                    // `None` unless the turn came through the injector.
+                    let queue_position = w.claims_ahead();
                     let mail = {
                         let mut table = self.lock_table();
                         let mail = table.tenants[tenant]
@@ -423,7 +435,7 @@ impl Shared {
                     // A slot freed: wake one blocked submitter.
                     self.admit_cv.notify_one();
 
-                    self.process(mail);
+                    self.process(mail, queue_position);
 
                     let again = {
                         let mut table = self.lock_table();
@@ -469,7 +481,7 @@ impl Shared {
     }
 
     /// Execute one mailbox message and resolve its ticket.
-    fn process(&self, mail: Mail) {
+    fn process(&self, mail: Mail, queue_position: Option<u64>) {
         let Mail { ticket, request } = mail;
         if !ticket.begin_execution() {
             // Cancelled while queued; already resolved.
@@ -480,9 +492,8 @@ impl Shared {
         let mailbox_wait = ticket.enqueued_at.elapsed();
         let service_start = Instant::now();
         let backend = &*self.backend;
-        let workers = self.config.plan_workers;
         let (result, commits, lag) = match request {
-            Request::Submit(spec) => match backend.submit_shared(spec, workers) {
+            Request::Submit(spec) => match backend.submit_shared(spec) {
                 Ok(run) => {
                     let lag = run.epochs.lag();
                     (Ok(Response::One(run)), 1, lag)
@@ -491,7 +502,7 @@ impl Shared {
             },
             Request::Batch(specs) => {
                 let items = specs.len();
-                match backend.submit_batch_shared(specs, workers) {
+                match backend.submit_batch_shared(specs) {
                     Ok(run) => {
                         let lag = run.epochs.lag();
                         (Ok(Response::Many(run)), items, lag)
@@ -499,7 +510,7 @@ impl Shared {
                     Err(e) => (Err(ServeError::from(e)), 0, 0),
                 }
             }
-            Request::Retrieve(names) => match backend.retrieve_shared(&names, workers) {
+            Request::Retrieve(names) => match backend.retrieve_shared(&names) {
                 Ok(run) => {
                     let lag = run.epochs.lag();
                     (Ok(Response::One(run)), 1, lag)
@@ -521,6 +532,7 @@ impl Shared {
                 service_seconds: service.as_secs_f64(),
                 latency_seconds: latency.as_secs_f64(),
                 epoch_lag: lag,
+                queue_position,
             };
         }
         // Gauges before `finish`: a waiter woken by the ticket must see

@@ -14,12 +14,12 @@
 //! [`ConcurrentSessions`] gives the serial [`Hyppo`] facade the same
 //! entry point by moving its state into a temporary runtime and back.
 
+use crate::backend::SharedHyppo;
 use crate::client::Client;
 use crate::runtime::{ServeConfig, ServeError, ServeRuntime};
 use hyppo_core::system::{Hyppo, RunReport, SubmitError};
 use hyppo_core::{ArtifactStore, CostEstimator, History};
 use hyppo_pipeline::PipelineSpec;
-use hyppo_runtime::{SharedHyppo, DEFAULT_SHARDS};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,14 +35,12 @@ pub struct SessionReport {
     pub wall_seconds: f64,
     /// Summed per-task seconds across the session's plans.
     pub task_seconds: f64,
-    /// Largest in-flight edge count any of the session's plans reached.
-    pub peak_concurrency: usize,
     /// Summed seconds this session's submissions waited in its mailbox.
     pub mailbox_wait_seconds: f64,
     /// Worst snapshot-staleness ([`EpochStamp::lag`]) any of its
     /// submissions observed.
     ///
-    /// [`EpochStamp::lag`]: hyppo_runtime::EpochStamp::lag
+    /// [`EpochStamp::lag`]: crate::EpochStamp::lag
     pub epoch_lag_max: u64,
 }
 
@@ -64,8 +62,6 @@ pub struct RuntimeMetrics {
     /// Wall-clock seconds threads spent waiting on locks (store shards +
     /// the catalog cell) during the batch.
     pub lock_wait_seconds: f64,
-    /// Largest in-flight edge count any plan reached.
-    pub peak_concurrency: usize,
     /// Largest total mailbox depth the runtime reached during the batch.
     pub peak_queue_depth: usize,
     /// Summed seconds submissions spent queued in mailboxes.
@@ -78,7 +74,7 @@ pub struct RuntimeMetrics {
 
 impl RuntimeMetrics {
     /// Parallel speedup over a serial replay: summed task seconds divided
-    /// by wall-clock seconds. ~1.0 on a single-core host.
+    /// by wall-clock seconds — what running tenants side by side bought.
     pub fn speedup(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.task_seconds / self.wall_seconds
@@ -136,9 +132,7 @@ impl ServeRuntime {
             for handle in session_handles {
                 match handle.wait_completed() {
                     Ok(completed) => {
-                        report.task_seconds += completed.run.wave.task_seconds;
-                        report.peak_concurrency =
-                            report.peak_concurrency.max(completed.run.wave.peak_concurrency);
+                        report.task_seconds += completed.run.report.execution_seconds;
                         report.mailbox_wait_seconds += completed.stats.mailbox_wait_seconds;
                         lag_sum += completed.run.epochs.lag();
                         report.epoch_lag_max = report.epoch_lag_max.max(completed.run.epochs.lag());
@@ -172,7 +166,6 @@ impl ServeRuntime {
             wall_seconds,
             task_seconds: reports.iter().map(|r| r.task_seconds).sum(),
             lock_wait_seconds: self.backend().lock_wait_seconds() - lock_wait_before,
-            peak_concurrency: reports.iter().map(|r| r.peak_concurrency).max().unwrap_or(0),
             peak_queue_depth: serve.peak_queue_depth,
             mailbox_wait_seconds: reports.iter().map(|r| r.mailbox_wait_seconds).sum(),
             epoch_lag_mean: if lag_count == 0 { 0.0 } else { lag_sum as f64 / lag_count as f64 },
@@ -185,20 +178,14 @@ impl ServeRuntime {
 /// Convenience: run scripted sessions over a fresh actor runtime built
 /// around `backend`, then hand the backend back.
 ///
-/// This is the serving-layer form of the old free-standing
-/// `SharedHyppo::run_sessions_concurrent` driver loop: `workers` actor
-/// workers, `workers_per_plan` wavefront threads per plan, blocking
-/// admission (scripted batches should never drop work).
+/// One actor worker per session (at most eight), blocking admission
+/// (scripted batches should never drop work).
 pub fn run_sessions_concurrent(
     backend: SharedHyppo,
     sessions: Vec<Vec<PipelineSpec>>,
-    workers_per_plan: usize,
 ) -> (Result<SessionsOutcome, ServeError>, Arc<SharedHyppo>) {
     let workers = sessions.len().clamp(1, 8);
-    let runtime = ServeRuntime::new(
-        backend,
-        ServeConfig { workers, plan_workers: workers_per_plan.max(1), ..ServeConfig::default() },
-    );
+    let runtime = ServeRuntime::new(backend, ServeConfig { workers, ..ServeConfig::default() });
     let outcome = runtime.run_sessions(sessions);
     match runtime.shutdown() {
         Ok(backend) => (outcome, backend),
@@ -209,12 +196,10 @@ pub fn run_sessions_concurrent(
 /// Extension: run concurrent scripted sessions from the serial [`Hyppo`]
 /// facade by temporarily moving its state into an actor runtime.
 pub trait ConcurrentSessions {
-    /// Run `sessions` concurrently, each plan on `workers_per_plan`
-    /// wavefront workers.
+    /// Run `sessions` concurrently, one tenant each.
     fn run_sessions_concurrent(
         &mut self,
         sessions: Vec<Vec<PipelineSpec>>,
-        workers_per_plan: usize,
     ) -> Result<SessionsOutcome, SubmitError>;
 }
 
@@ -222,14 +207,12 @@ impl ConcurrentSessions for Hyppo {
     fn run_sessions_concurrent(
         &mut self,
         sessions: Vec<Vec<PipelineSpec>>,
-        workers_per_plan: usize,
     ) -> Result<SessionsOutcome, SubmitError> {
         let history = std::mem::replace(&mut self.history, History::new());
         let estimator = std::mem::replace(&mut self.estimator, CostEstimator::new());
         let store = std::mem::replace(&mut self.store, ArtifactStore::new());
-        let shared =
-            SharedHyppo::from_parts(self.config.clone(), history, estimator, store, DEFAULT_SHARDS);
-        let (result, shared) = run_sessions_concurrent(shared, sessions, workers_per_plan);
+        let shared = SharedHyppo::from_parts(self.config.clone(), history, estimator, store);
+        let (result, shared) = run_sessions_concurrent(shared, sessions);
         // State flows back whether the batch succeeded or not — completed
         // sessions' history must never be lost.
         let shared = Arc::try_unwrap(shared)

@@ -1,8 +1,8 @@
 //! A thread-safe, sharded artifact store.
 //!
-//! [`SharedArtifactStore`] wraps the core [`ArtifactStore`] in `N`
-//! [`RwLock`]-guarded shards so concurrent plan executions and sessions can
-//! load and materialize artifacts without a single global lock. Artifacts
+//! [`SharedArtifactStore`] wraps the core [`ArtifactStore`] in eight
+//! [`RwLock`]-guarded shards so concurrent tenants can load and
+//! materialize artifacts without a single global lock. Artifacts
 //! are routed to shards by their logical name (already a hash, so the
 //! distribution is uniform); raw datasets — registered rarely, read often —
 //! all live in shard 0.
@@ -23,9 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// Default shard count: enough to make same-shard collisions rare for the
-/// handful of workers a plan runs, small enough to keep merge cheap.
-pub const DEFAULT_SHARDS: usize = 8;
+/// Shard count: enough to make same-shard collisions rare for the handful
+/// of serving workers, small enough to keep merge cheap.
+const SHARDS: usize = 8;
 
 #[derive(Debug)]
 struct SharedInner {
@@ -46,10 +46,9 @@ pub struct SharedArtifactStore {
 }
 
 impl SharedArtifactStore {
-    /// Empty store with `n_shards` shards (at least 1).
-    pub fn new(n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        let shards = (0..n).map(|_| RwLock::new(ArtifactStore::new())).collect();
+    /// Empty store.
+    fn new() -> Self {
+        let shards = (0..SHARDS).map(|_| RwLock::new(ArtifactStore::new())).collect();
         SharedArtifactStore {
             inner: Arc::new(SharedInner { shards, lock_wait_nanos: AtomicU64::new(0) }),
         }
@@ -58,8 +57,8 @@ impl SharedArtifactStore {
     /// Shard a single-owner store: datasets move to shard 0, artifacts are
     /// redistributed by name without a decode/encode round trip, and every
     /// shard inherits the source store's bandwidth model.
-    pub fn from_store(mut store: ArtifactStore, n_shards: usize) -> Self {
-        let shared = SharedArtifactStore::new(n_shards);
+    pub fn from_store(mut store: ArtifactStore) -> Self {
+        let shared = SharedArtifactStore::new();
         {
             let mut shards: Vec<RwLockWriteGuard<'_, ArtifactStore>> = shared
                 .inner
@@ -74,9 +73,8 @@ impl SharedArtifactStore {
             for (id, dataset) in store.take_datasets() {
                 shards[0].register_dataset(&id, dataset);
             }
-            let n = shards.len();
             for (name, bytes) in store.entries() {
-                shards[shard_of(name, n)].insert_raw(name, bytes.clone());
+                shards[shard_of(name)].insert_raw(name, bytes.clone());
             }
         }
         shared
@@ -114,7 +112,7 @@ impl SharedArtifactStore {
 
     /// Number of materialized artifacts across all shards.
     pub fn len(&self) -> usize {
-        (0..self.inner.shards.len()).map(|i| self.read_shard(i).len()).sum()
+        (0..SHARDS).map(|i| self.read_shard(i).len()).sum()
     }
 
     /// Whether no artifacts are materialized.
@@ -150,15 +148,11 @@ impl SharedArtifactStore {
         // hyppo-lint: allow(relaxed-ordering-justified) contention gauge only
         self.inner.lock_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
-
-    fn shard_for(&self, name: ArtifactName) -> usize {
-        shard_of(name, self.inner.shards.len())
-    }
 }
 
 /// Names are already hashes, so the low bits shard uniformly.
-fn shard_of(name: ArtifactName, n: usize) -> usize {
-    name.0 as usize % n
+fn shard_of(name: ArtifactName) -> usize {
+    name.0 as usize % SHARDS
 }
 
 impl ArtifactStorage for SharedArtifactStore {
@@ -175,27 +169,27 @@ impl ArtifactStorage for SharedArtifactStore {
     }
 
     fn load_artifact(&self, name: ArtifactName) -> Result<Option<(Artifact, f64)>, CodecError> {
-        self.read_shard(self.shard_for(name)).load(name)
+        self.read_shard(shard_of(name)).load(name)
     }
 
     fn contains_artifact(&self, name: ArtifactName) -> bool {
-        self.read_shard(self.shard_for(name)).contains(name)
+        self.read_shard(shard_of(name)).contains(name)
     }
 
     fn artifact_size(&self, name: ArtifactName) -> Option<u64> {
-        self.read_shard(self.shard_for(name)).size_of(name)
+        self.read_shard(shard_of(name)).size_of(name)
     }
 
     fn put_artifact(&mut self, name: ArtifactName, artifact: &Artifact) -> (u64, f64) {
-        self.write_shard(self.shard_for(name)).put(name, artifact)
+        self.write_shard(shard_of(name)).put(name, artifact)
     }
 
     fn remove_artifact(&mut self, name: ArtifactName) -> Option<u64> {
-        self.write_shard(self.shard_for(name)).remove(name)
+        self.write_shard(shard_of(name)).remove(name)
     }
 
     fn used_bytes(&self) -> u64 {
-        (0..self.inner.shards.len()).map(|i| self.read_shard(i).used_bytes()).sum()
+        (0..SHARDS).map(|i| self.read_shard(i).used_bytes()).sum()
     }
 }
 
@@ -216,7 +210,7 @@ mod tests {
 
     #[test]
     fn put_load_roundtrip_through_shards() {
-        let mut store = SharedArtifactStore::new(4);
+        let mut store = SharedArtifactStore::new();
         let a = Artifact::Predictions(vec![1.0, 2.0, 3.0]);
         let name = dataset_name("x");
         let (bytes, cost) = store.put_artifact(name, &a);
@@ -238,7 +232,7 @@ mod tests {
         for i in 0..20u64 {
             single.put(ArtifactName(i), &Artifact::Value(i as f64));
         }
-        let shared = SharedArtifactStore::from_store(single.clone(), 4);
+        let shared = SharedArtifactStore::from_store(single.clone());
         assert_eq!(shared.len(), 20);
         assert!(shared.dataset_shape("d").is_some());
         let merged = shared.into_store();
@@ -252,18 +246,18 @@ mod tests {
 
     #[test]
     fn names_spread_across_shards() {
-        let mut store = SharedArtifactStore::new(4);
+        let mut store = SharedArtifactStore::new();
         for i in 0..64u64 {
             store.put_artifact(ArtifactName(i), &Artifact::Value(0.0));
         }
-        let counts: Vec<usize> = (0..4).map(|i| store.read_shard(i).len()).collect();
+        let counts: Vec<usize> = (0..SHARDS).map(|i| store.read_shard(i).len()).collect();
         assert!(counts.iter().all(|&c| c > 0), "all shards used: {counts:?}");
         assert_eq!(counts.iter().sum::<usize>(), 64);
     }
 
     #[test]
     fn concurrent_puts_from_many_threads_all_land() {
-        let store = SharedArtifactStore::new(4);
+        let store = SharedArtifactStore::new();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let mut store = store.clone();
@@ -281,7 +275,7 @@ mod tests {
 
     #[test]
     fn datasets_are_shared_between_clones() {
-        let store = SharedArtifactStore::new(2);
+        let store = SharedArtifactStore::new();
         store.register_dataset("d", dataset(8));
         let clone = store.clone();
         assert_eq!(clone.dataset_shape("d"), Some((8, 3)));

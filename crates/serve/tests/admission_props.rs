@@ -18,8 +18,7 @@
 
 use hyppo_core::executor::ExecMode;
 use hyppo_core::HyppoConfig;
-use hyppo_runtime::SharedHyppo;
-use hyppo_serve::{AdmissionPolicy, ServeConfig, ServeError, ServeRuntime};
+use hyppo_serve::{AdmissionPolicy, ServeConfig, ServeError, ServeRuntime, SharedHyppo};
 use hyppo_tensor::SeededRng;
 use hyppo_workloads::ensemble_wl::wide_ensemble_spec;
 use hyppo_workloads::taxi;
@@ -51,7 +50,6 @@ fn stress_round(seed: u64, policy: AdmissionPolicy) -> RoundOutcome {
         }),
         ServeConfig {
             workers: 3,
-            plan_workers: 1,
             mailbox_capacity: CAPACITY,
             admission: policy,
             ..ServeConfig::default()
@@ -196,9 +194,12 @@ fn cancel_after_completion_is_a_noop() {
 
 /// Fairness: a finished tenant with mail left queues behind every tenant
 /// already runnable. One tenant floods its mailbox with 64 submissions,
-/// then K tenants submit one each; every one of the K runs within K + 1
-/// turns of its admission (at most K other turns commit before its own
-/// starts), at 1 and 2 workers.
+/// then K tenants submit one each; at most K turns are claimed between
+/// each single's injection into the run queue and its own claim, at 1 and
+/// 2 workers. The scheduler counts those claims under its injector lock
+/// (`TicketStats::queue_position`), so the bound is exact whatever the OS
+/// does to the worker threads; a turn that bypassed the injector reads
+/// `None` and fails the test.
 #[test]
 fn a_busy_tenant_cannot_starve_single_submissions() {
     const K: usize = 8;
@@ -208,7 +209,6 @@ fn a_busy_tenant_cannot_starve_single_submissions() {
                 SharedHyppo::new(HyppoConfig { mode: ExecMode::Simulated, ..Default::default() }),
                 ServeConfig {
                     workers,
-                    plan_workers: 1,
                     mailbox_capacity: 64,
                     admission: AdmissionPolicy::Block,
                     ..ServeConfig::default()
@@ -221,30 +221,27 @@ fn a_busy_tenant_cannot_starve_single_submissions() {
                 .collect::<Result<_, _>>()
                 .expect("a 64-slot mailbox admits 64 submissions");
             let singles: Vec<_> = (0..K)
-                .map(|k| {
-                    let handle = runtime
-                        .client()
-                        .submit(wide_ensemble_spec("taxi", 3, seed + k as u64))
-                        .expect("admission");
-                    (runtime.backend().current_epoch(), handle)
-                })
-                .collect();
-            for (k, (admitted_at, handle)) in singles.into_iter().enumerate() {
-                // Turns that committed between admission and the start of
-                // this tenant's own turn (its snapshot). With two workers a
-                // turn claimed after it may still commit before it, so the
-                // snapshot, not the commit, marks where its turn fell. The
-                // admission epoch is read after admission, so the count can
-                // only undercount.
-                let run = handle.wait_completed().expect("single submission").run;
-                let before = run.epochs.snapshot.saturating_sub(admitted_at);
+                .map(|k| runtime.client().submit(wide_ensemble_spec("taxi", 3, seed + k as u64)))
+                .collect::<Result<_, _>>()
+                .expect("admission");
+            for (k, handle) in singles.into_iter().enumerate() {
+                // Ahead of single k at its injection: at most the k singles
+                // before it and one copy of the busy tenant.
+                let ahead =
+                    handle.wait_completed().expect("single submission").stats.queue_position;
                 assert!(
-                    before <= K as u64,
-                    "workers {workers}, seed {seed}: tenant {k} ran after {before} other turns"
+                    matches!(ahead, Some(n) if n <= K as u64),
+                    "workers {workers}, seed {seed}: tenant {k} was claimed after {ahead:?} other turns"
                 );
             }
-            for handle in flood {
-                handle.wait().expect("flood submission");
+            for (i, handle) in flood.into_iter().enumerate() {
+                // Every busy turn must queue through the injector too: a
+                // turn requeued anywhere else would bypass the count above.
+                let ahead = handle.wait_completed().expect("flood submission").stats.queue_position;
+                assert!(
+                    ahead.is_some(),
+                    "workers {workers}, seed {seed}: busy turn {i} bypassed the injector"
+                );
             }
             runtime.shutdown().unwrap();
         }

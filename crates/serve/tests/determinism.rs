@@ -17,8 +17,7 @@ use hyppo_core::executor::ExecMode;
 use hyppo_core::optimizer::Planner;
 use hyppo_core::HyppoConfig;
 use hyppo_pipeline::PipelineSpec;
-use hyppo_runtime::{SharedHyppo, SharedRun};
-use hyppo_serve::{ServeConfig, ServeRuntime};
+use hyppo_serve::{ServeConfig, ServeRuntime, SharedHyppo, SharedRun};
 use hyppo_workloads::{generator::generate_sequence, higgs, taxi, SequenceConfig, UseCase};
 
 /// `search_threads` is the planner's (inert) thread-count setting.
@@ -59,7 +58,7 @@ fn serve_replay(seed: u64, mode: ExecMode, search_threads: usize) -> Vec<SharedR
     let (use_case, specs) = sequence(seed);
     let runtime = ServeRuntime::new(
         SharedHyppo::new(config(mode, search_threads)),
-        ServeConfig { workers: 4, plan_workers: 2, ..ServeConfig::default() },
+        ServeConfig { workers: 4, ..ServeConfig::default() },
     );
     let client = runtime.client();
     register(runtime.backend(), use_case, seed);
@@ -75,7 +74,7 @@ fn isolated_replay(seed: u64, mode: ExecMode, search_threads: usize) -> Vec<Shar
     let (use_case, specs) = sequence(seed);
     let backend = SharedHyppo::new(config(mode, search_threads));
     register(&backend, use_case, seed);
-    specs.into_iter().map(|s| backend.submit_shared(s, 2).unwrap()).collect()
+    specs.into_iter().map(|s| backend.submit_shared(s).unwrap()).collect()
 }
 
 /// Simulated mode: the estimator's inputs are the virtual-clock costs, so

@@ -6,10 +6,9 @@
 use hyppo_core::executor::ExecMode;
 use hyppo_core::{Hyppo, HyppoConfig, Session};
 use hyppo_pipeline::PipelineSpec;
-use hyppo_runtime::SharedHyppo;
 use hyppo_serve::{
     run_sessions_concurrent, AdmissionPolicy, ConcurrentSessions, ServeConfig, ServeError,
-    ServeRuntime,
+    ServeRuntime, SharedHyppo,
 };
 use hyppo_workloads::ensemble_wl::wide_ensemble_spec;
 use hyppo_workloads::taxi;
@@ -167,7 +166,7 @@ fn shutdown_drains_queued_submissions() {
 fn four_sessions_share_one_store_without_deadlock() {
     let shared = SharedHyppo::new(config(64 * 1024 * 1024));
     shared.register_dataset("taxi", taxi::generate(300, 5));
-    let (outcome, shared) = run_sessions_concurrent(shared, sessions(4), 2);
+    let (outcome, shared) = run_sessions_concurrent(shared, sessions(4));
     let outcome = outcome.unwrap();
     assert_eq!(outcome.metrics.sessions, 4);
     assert_eq!(outcome.reports.len(), 4);
@@ -191,7 +190,7 @@ fn budget_is_respected_under_concurrent_sessions() {
     let budget = 32 * 1024;
     let shared = SharedHyppo::new(config(budget));
     shared.register_dataset("taxi", taxi::generate(200, 5));
-    let (outcome, shared) = run_sessions_concurrent(shared, sessions(4), 2);
+    let (outcome, shared) = run_sessions_concurrent(shared, sessions(4));
     outcome.unwrap();
     let shared = Arc::try_unwrap(shared).expect("runtime shut down");
     let (_, _, store, _) = shared.into_parts();
@@ -202,7 +201,7 @@ fn budget_is_respected_under_concurrent_sessions() {
 fn concurrent_sessions_feed_later_serial_reuse() {
     let mut sys = Hyppo::new(config(64 * 1024 * 1024));
     sys.register_dataset("taxi", taxi::generate(300, 5));
-    let outcome = sys.run_sessions_concurrent(sessions(4), 2).unwrap();
+    let outcome = sys.run_sessions_concurrent(sessions(4)).unwrap();
     assert_eq!(outcome.metrics.sessions, 4);
     // State moved back: the serial facade sees the concurrent history.
     assert!(sys.history.artifact_count() > 0);
@@ -219,7 +218,7 @@ fn missing_dataset_fails_but_preserves_state() {
     sys.register_dataset("taxi", taxi::generate(100, 5));
     let batch =
         vec![vec![wide_ensemble_spec("taxi", 2, 1)], vec![wide_ensemble_spec("nope", 2, 1)]];
-    let err = sys.run_sessions_concurrent(batch, 2);
+    let err = sys.run_sessions_concurrent(batch);
     assert!(err.is_err());
     // The failed batch must not have wiped the moved-out state.
     assert!(sys.store.dataset("taxi").is_some());
@@ -229,7 +228,7 @@ fn missing_dataset_fails_but_preserves_state() {
 fn simulated_mode_runs_on_the_virtual_clock() {
     let shared = SharedHyppo::new(HyppoConfig { mode: ExecMode::Simulated, ..config(0) });
     shared.register_dataset("taxi", taxi::generate(100, 5));
-    let (outcome, _) = run_sessions_concurrent(shared, sessions(2), 4);
+    let (outcome, _) = run_sessions_concurrent(shared, sessions(2));
     let outcome = outcome.unwrap();
     assert_eq!(outcome.metrics.sessions, 2);
     for report in &outcome.reports {

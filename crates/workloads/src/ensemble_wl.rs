@@ -36,8 +36,8 @@ pub fn ensemble_spec(members: &[PipelineTemplate], kind: LogicalOp) -> PipelineS
 /// A deliberately *wide* ensemble: `n_members` Ridge members that share
 /// the load/split/preprocessing prefix and differ only in regularization
 /// strength, voted together. After the shared prefix, the member fits are
-/// mutually independent — the plan fans out `n_members` ways, which is
-/// exactly the shape a concurrent wavefront executor can exploit.
+/// mutually independent — the plan fans out `n_members` ways, so several
+/// tenants submitting it reuse the prefix and each other's members.
 pub fn wide_ensemble_spec(dataset_id: &str, n_members: usize, seed: u64) -> PipelineSpec {
     assert!(n_members >= 2, "an ensemble needs at least two members");
     let mut rng = SeededRng::new(seed);

@@ -16,19 +16,24 @@ cargo build --workspace --release --offline
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
-echo "== plan search is serial: hyppo-core must not depend on hyppo-sched =="
-# Plan search is serial (DESIGN.md §9); only the executor and the serving
-# layer run on the scheduler. A scheduler dependency creeping back into
-# hyppo-core fails here.
-if cargo tree -p hyppo-core --offline -e normal | grep -q hyppo-sched; then
-    echo "hyppo-core depends on hyppo-sched" >&2
+echo "== one executor: only serving, its bench and the facade use hyppo-sched =="
+# Plan search (DESIGN.md §9) and plan execution are serial in every
+# backend; the scheduler's one production consumer is the serving pool. Its
+# direct dependents must be exactly the facade (re-export), the bench crate
+# (scheduler bench) and hyppo-serve. This also keeps hyppo-core off the
+# scheduler: any path from it would run through one of those three, which
+# all depend on hyppo-core.
+sched_users=$(cargo tree --offline --workspace -e normal -i hyppo-sched --depth 1 --prefix none \
+    | tail -n +2 | awk '{print $1}' | sort -u | tr '\n' ' ')
+if [ "$sched_users" != "hyppo hyppo-bench hyppo-serve " ]; then
+    echo "unexpected direct dependents of hyppo-sched: $sched_users" >&2
     exit 1
 fi
 
 echo "== sched == scheduler determinism suite"
-# Scheduler gate (crates/sched, DESIGN.md §16): both consumers — wavefront
-# execution and tenant serving — must stay bit-identical to serial at
-# every worker count, whatever work the idle workers steal. The
+# Scheduler gate (crates/sched, DESIGN.md §16): tenant serving, the
+# scheduler's one consumer, must stay bit-identical to serial at every
+# worker count, whatever work the idle workers steal. The
 # scheduler's own unit tests run with `cargo test -p hyppo-sched` above;
 # the bench artifact BENCH_sched.json (service-mode throughput +
 # contention counters) is committed at the repo root and refreshed by
@@ -49,7 +54,8 @@ test_binary() {
 loop_log=target/sched-loop.log
 mkdir -p target
 for target in "--test sched_determinism" "--test batch_planning_props" \
-        "--test backend_equivalence" "-p hyppo-sched --lib"; do
+        "--test backend_equivalence" "-p hyppo-sched --lib" \
+        "-p hyppo-serve --test admission_props"; do
     # shellcheck disable=SC2086 # $target is deliberately word-split
     bin=$(test_binary $target) || true
     [ -x "$bin" ] || { echo "no test binary for: $target" >&2; exit 1; }
@@ -110,7 +116,7 @@ fi
 
 echo "== cargo doc (deny rustdoc warnings) =="
 # Missing or broken docs fail the build: hypergraph, core, persist,
-# runtime, serve, and sched all carry #![deny(missing_docs)], and
+# serve, and sched all carry #![deny(missing_docs)], and
 # -D warnings promotes broken intra-doc links and the rest of rustdoc's
 # lints everywhere else (the --workspace sweep includes the sched crate
 # and its compiling service-mode doctest).

@@ -22,14 +22,13 @@
 //!   artifact naming;
 //! - [`core`] — the HYPPO system: history, augmenter, serial plan search,
 //!   cost model, materializer, executor;
-//! - [`sched`] — the work-stealing scheduler the wavefront executor and
-//!   the serving layer run on: per-worker queues, a global injector,
-//!   single-item stealing;
-//! - [`runtime`] — concurrent wavefront plan execution, the sharded
-//!   thread-safe artifact store, and the epoch-snapshot shared backend;
-//! - [`serve`] — the multi-tenant serving layer: per-tenant actor
-//!   mailboxes over a worker pool, bounded admission, the
-//!   [`serve::Client`]/[`serve::SubmissionHandle`] API;
+//! - [`sched`] — the work-stealing scheduler the serving layer runs on:
+//!   per-worker queues, a global injector, single-item stealing;
+//! - [`serve`] — the multi-tenant serving layer: the epoch-snapshot
+//!   shared backend ([`serve::SharedHyppo`]) over a sharded thread-safe
+//!   artifact store, per-tenant actor mailboxes over a worker pool,
+//!   bounded admission, the [`serve::Client`]/[`serve::SubmissionHandle`]
+//!   API ([`runtime`] keeps the backend's former paths);
 //! - [`persist`] — durability: write-ahead-logged crash-recoverable
 //!   history, disk-backed artifact store, the [`persist::DurableHyppo`]
 //!   session facade;
@@ -67,8 +66,7 @@
 //!
 //! ```
 //! use hyppo::core::HyppoConfig;
-//! use hyppo::runtime::SharedHyppo;
-//! use hyppo::serve::{ServeConfig, ServeRuntime};
+//! use hyppo::serve::{ServeConfig, ServeRuntime, SharedHyppo};
 //! use hyppo::workloads::ensemble_wl::wide_ensemble_spec;
 //! use hyppo::workloads::taxi;
 //!
@@ -99,7 +97,7 @@
 //! sys.register_dataset("taxi", taxi::generate(200, 5));
 //!
 //! let sessions = (0..4).map(|i| vec![wide_ensemble_spec("taxi", 3, i)]).collect();
-//! let outcome = sys.run_sessions_concurrent(sessions, 2).unwrap();
+//! let outcome = sys.run_sessions_concurrent(sessions).unwrap();
 //! assert_eq!(outcome.metrics.sessions, 4);
 //! assert!(outcome.metrics.speedup() > 0.0);
 //! ```
@@ -136,8 +134,13 @@ pub use hyppo_hypergraph as hypergraph;
 pub use hyppo_ml as ml;
 pub use hyppo_persist as persist;
 pub use hyppo_pipeline as pipeline;
-pub use hyppo_runtime as runtime;
 pub use hyppo_sched as sched;
 pub use hyppo_serve as serve;
 pub use hyppo_tensor as tensor;
 pub use hyppo_workloads as workloads;
+
+/// [`serve::SharedHyppo`] under its former `hyppo::runtime` path, kept for
+/// callers that still import it from there.
+pub mod runtime {
+    pub use hyppo_serve::SharedHyppo;
+}

@@ -4,20 +4,23 @@
 //!
 //! A Simulated-mode edit-model sequence (32 submits, a 4-item sweep batch
 //! in the middle, and a retrieve at the end) runs through the serial
-//! `Hyppo`, `SharedHyppo` behind a one-worker `SharedSession`, a
-//! `DurableHyppo` in a temporary directory, and a one-worker `ServeRuntime`
-//! `Client`. Every report field that is not wall-clock time is compared
+//! `Hyppo`, `SharedHyppo`, a `DurableHyppo` in a temporary directory, and a
+//! one-worker `ServeRuntime` `Client`. Every report field that is not wall-clock time is compared
 //! bit for bit (f64s by `to_bits`, the values maps, the search counters),
 //! and the serial, shared and durable catalogs must serialize to the same
 //! canonical JSON.
+//!
+//! The same workload in Real mode checks what execution computes: every
+//! backend runs the one serial executor, and tenants running side by side
+//! on a multi-worker `ServeRuntime` must compute the serial values bit for
+//! bit (measured costs may steer plans apart; values may not differ).
 
 use hyppo::core::executor::ExecMode;
 use hyppo::core::persist::catalog_to_json;
 use hyppo::core::{Hyppo, HyppoConfig, RunReport, Session};
 use hyppo::persist::DurableHyppo;
 use hyppo::pipeline::{build_pipeline, ArtifactName, PipelineSpec};
-use hyppo::runtime::{SharedHyppo, SharedSession};
-use hyppo::serve::{ServeConfig, ServeRuntime};
+use hyppo::serve::{ServeConfig, ServeRuntime, SharedHyppo};
 use hyppo::workloads::generator::generate_sequence;
 use hyppo::workloads::{higgs, sweep_specs, SequenceConfig, SweepConfig, UseCase};
 
@@ -30,7 +33,11 @@ enum Op {
 }
 
 fn config() -> HyppoConfig {
-    HyppoConfig { budget_bytes: 16 << 20, mode: ExecMode::Simulated, ..Default::default() }
+    with_mode(ExecMode::Simulated)
+}
+
+fn with_mode(mode: ExecMode) -> HyppoConfig {
+    HyppoConfig { budget_bytes: 16 << 20, mode, ..Default::default() }
 }
 
 /// 32 edit-model submits with a 4-item sweep after the 16th, then a
@@ -61,6 +68,11 @@ fn workload() -> Vec<Op> {
 
 fn drive(session: &mut impl Session) -> Vec<RunReport> {
     session.register_dataset("higgs", higgs::generate(400, SEED));
+    run(session)
+}
+
+/// The workload against an already registered dataset.
+fn run(session: &mut impl Session) -> Vec<RunReport> {
     let mut reports = Vec::new();
     for op in workload() {
         match op {
@@ -104,9 +116,9 @@ fn serial_shared_durable_and_served_backends_agree_bit_for_bit() {
     assert_eq!(reference.len(), 32 + 4 + 1);
     let catalog = catalog_to_json(&serial.history, &serial.estimator);
 
-    let mut shared = SharedSession::new(SharedHyppo::new(config()), 1);
+    let mut shared = SharedHyppo::new(config());
     assert_same("shared", &drive(&mut shared), &reference);
-    let snap = shared.backend().snapshot();
+    let snap = shared.snapshot();
     assert_eq!(catalog_to_json(&snap.history, &snap.estimator), catalog, "shared catalog");
     assert_eq!(shared.cumulative_seconds().to_bits(), serial.cumulative_seconds.to_bits());
 
@@ -121,10 +133,72 @@ fn serial_shared_durable_and_served_backends_agree_bit_for_bit() {
 
     let runtime = ServeRuntime::new(
         SharedHyppo::new(config()),
-        ServeConfig { workers: 1, plan_workers: 1, ..ServeConfig::default() },
+        ServeConfig { workers: 1, ..ServeConfig::default() },
     );
     let mut client = runtime.client();
     assert_same("served", &drive(&mut client), &reference);
     drop(client);
+    runtime.shutdown().expect("shutdown");
+}
+
+/// Every target value of every report, bit for bit.
+fn assert_same_values(backend: &str, got: &[RunReport], want: &[RunReport]) {
+    assert_eq!(got.len(), want.len(), "{backend}: report count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let bits = |r: &RunReport| {
+            let mut values: Vec<(ArtifactName, u64)> =
+                r.values.iter().map(|(&n, v)| (n, v.to_bits())).collect();
+            values.sort_unstable();
+            values
+        };
+        assert!(!w.values.is_empty(), "{backend}: report {i} has no values to compare");
+        assert_eq!(bits(g), bits(w), "{backend}: report {i} values differ from the serial backend");
+    }
+}
+
+#[test]
+fn real_execution_values_agree_across_serial_shared_and_served_backends() {
+    let mut serial = Hyppo::new(with_mode(ExecMode::Real));
+    let reference = drive(&mut serial);
+
+    let mut shared = SharedHyppo::new(with_mode(ExecMode::Real));
+    assert_same_values("shared", &drive(&mut shared), &reference);
+
+    let runtime = ServeRuntime::new(
+        SharedHyppo::new(with_mode(ExecMode::Real)),
+        ServeConfig { workers: 1, ..ServeConfig::default() },
+    );
+    let mut client = runtime.client();
+    assert_same_values("served", &drive(&mut client), &reference);
+    drop(client);
+    runtime.shutdown().expect("shutdown");
+}
+
+/// Four tenants run the workload side by side on four workers against one
+/// shared history and store, so each one plans over what the others
+/// recorded and loads what they materialized; each computes the serial
+/// values.
+#[test]
+fn tenants_sharing_one_real_backend_compute_the_serial_values() {
+    let mut serial = Hyppo::new(with_mode(ExecMode::Real));
+    let reference = drive(&mut serial);
+
+    let runtime = ServeRuntime::new(
+        SharedHyppo::new(with_mode(ExecMode::Real)),
+        ServeConfig { workers: 4, ..ServeConfig::default() },
+    );
+    runtime.backend().register_dataset("higgs", higgs::generate(400, SEED));
+    let tenants: Vec<Vec<RunReport>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let mut client = runtime.client();
+                scope.spawn(move || run(&mut client))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("tenant panicked")).collect()
+    });
+    for (t, reports) in tenants.iter().enumerate() {
+        assert_same_values(&format!("tenant {t}"), reports, &reference);
+    }
     runtime.shutdown().expect("shutdown");
 }

@@ -12,7 +12,7 @@ use hyppo::core::executor::ExecMode;
 use hyppo::core::persist::catalog_to_json;
 use hyppo::core::{CostEstimator, History, HyppoConfig};
 use hyppo::persist::{read_wal, GroupCommitWal, WalHook, WalWriter};
-use hyppo::runtime::SharedHyppo;
+use hyppo::serve::SharedHyppo;
 use hyppo::workloads::ensemble_wl::wide_ensemble_spec;
 use hyppo::workloads::taxi;
 use std::path::PathBuf;
@@ -42,7 +42,7 @@ fn run_and_crash(wal_path: &PathBuf, flushed: usize) -> hyppo::persist::GroupCom
     shared.attach_durability(Box::new(hook.clone()));
     shared.register_dataset("taxi", taxi::generate(200, 5));
     for (i, spec) in specs().into_iter().enumerate() {
-        shared.submit_shared(spec, 2).unwrap();
+        shared.submit_shared(spec).unwrap();
         if i < flushed {
             // Group boundary: everything up to and including this commit
             // epoch becomes durable with one fsync.
@@ -67,7 +67,7 @@ fn reference_wal(wal_path: &PathBuf, submissions: usize) {
     shared.attach_durability(Box::new(WalHook::new(Arc::new(Mutex::new(writer)))));
     shared.register_dataset("taxi", taxi::generate(200, 5));
     for spec in specs().into_iter().take(submissions) {
-        shared.submit_shared(spec, 2).unwrap();
+        shared.submit_shared(spec).unwrap();
     }
     shared.flush_durability().unwrap();
 }
@@ -126,7 +126,7 @@ fn torn_tail_inside_a_group_recovers_to_a_record_boundary() {
     shared.attach_durability(Box::new(hook.clone()));
     shared.register_dataset("taxi", taxi::generate(200, 5));
     for spec in specs().into_iter().take(3) {
-        shared.submit_shared(spec, 2).unwrap();
+        shared.submit_shared(spec).unwrap();
     }
     let flushed = hook.flush_group().unwrap();
     assert!(flushed > 3, "expected several events per submission");
