@@ -343,6 +343,7 @@ mod tests {
             node_by_name: Default::default(),
             new_tasks: vec![],
             pipeline_edges: vec![],
+            history_edges_scanned: 0,
         };
         // Heuristic: rc(t1) = min(7, 1+10) = 7 → load both: cost 14.
         let plan = collab_plan(&aug, &costs, &[t1, t2]).unwrap();

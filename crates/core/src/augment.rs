@@ -35,6 +35,10 @@ pub struct Augmentation {
     pub new_tasks: Vec<EdgeId>,
     /// The edges that came verbatim from the submitted pipeline.
     pub pipeline_edges: Vec<EdgeId>,
+    /// History hyperedges examined to enrich `A`: those producing an
+    /// artifact relevant to `P`. Bounded by the plan's ancestry in `H`,
+    /// not by the size of `H`.
+    pub history_edges_scanned: usize,
 }
 
 impl Augmentation {
@@ -146,46 +150,49 @@ pub fn augment(
     }
 
     // --- 3. History enrichment ---
+    let mut history_edges_scanned = 0;
     if opts.use_history {
         // Artifacts of P that the history knows (equivalence by name).
-        let matched: Vec<NodeId> =
-            node_by_name.iter().filter_map(|(&name, _)| history.node_of(name)).collect();
-        if !matched.is_empty() {
-            let relevant = connectivity::backward_relevant(&history.graph, &matched);
-            for he in history.graph.edge_ids() {
-                let head_h = history.graph.head(he);
-                if !head_h.iter().any(|&v| relevant.contains(v)) {
-                    continue;
-                }
-                let label = history.graph.edge(he).clone();
-                let tail: Vec<NodeId> = history
-                    .graph
-                    .tail(he)
-                    .iter()
-                    .map(|&v| {
-                        if v == history.source {
-                            source
-                        } else {
-                            ensure_node(&mut graph, &mut node_by_name, history.graph.node(v))
-                        }
-                    })
-                    .collect();
-                let head: Vec<NodeId> = head_h
-                    .iter()
-                    .map(|&v| ensure_node(&mut graph, &mut node_by_name, history.graph.node(v)))
-                    .collect();
-                let tail_names: Vec<ArtifactName> =
-                    tail.iter().map(|&v| node_name(&graph, v, source)).collect();
-                let head_names: Vec<ArtifactName> =
-                    head.iter().map(|&v| node_name(&graph, v, source)).collect();
-                let identity = edge_identity_names(&label, &tail_names, &head_names);
-                let impl_idx = label_impl(&label);
-                if edge_seen.contains_key(&(identity, impl_idx)) {
-                    continue;
-                }
-                let new_edge = graph.add_edge(tail, head, label);
-                edge_seen.insert((identity, impl_idx), new_edge);
+        let matched: Vec<NodeId> = graph
+            .node_ids()
+            .filter(|&v| v != source)
+            .filter_map(|v| history.node_of(graph.node(v).name))
+            .collect();
+        // The producers of everything B-relevant to them, in history edge
+        // id order: the order decides the edge ids of `A`.
+        let relevant_edges = connectivity::backward_relevant_edges(&history.graph, &matched);
+        history_edges_scanned = relevant_edges.len();
+        for he in relevant_edges {
+            let label = history.graph.edge(he).clone();
+            let tail: Vec<NodeId> = history
+                .graph
+                .tail(he)
+                .iter()
+                .map(|&v| {
+                    if v == history.source {
+                        source
+                    } else {
+                        ensure_node(&mut graph, &mut node_by_name, history.graph.node(v))
+                    }
+                })
+                .collect();
+            let head: Vec<NodeId> = history
+                .graph
+                .head(he)
+                .iter()
+                .map(|&v| ensure_node(&mut graph, &mut node_by_name, history.graph.node(v)))
+                .collect();
+            let tail_names: Vec<ArtifactName> =
+                tail.iter().map(|&v| node_name(&graph, v, source)).collect();
+            let head_names: Vec<ArtifactName> =
+                head.iter().map(|&v| node_name(&graph, v, source)).collect();
+            let identity = edge_identity_names(&label, &tail_names, &head_names);
+            let impl_idx = label_impl(&label);
+            if edge_seen.contains_key(&(identity, impl_idx)) {
+                continue;
             }
+            let new_edge = graph.add_edge(tail, head, label);
+            edge_seen.insert((identity, impl_idx), new_edge);
         }
     }
 
@@ -208,7 +215,15 @@ pub fn augment(
     let targets: Vec<NodeId> =
         pipeline.targets.iter().map(|&v| node_by_name[&pipeline.graph.node(v).name]).collect();
 
-    Augmentation { graph, source, targets, node_by_name, new_tasks, pipeline_edges }
+    Augmentation {
+        graph,
+        source,
+        targets,
+        node_by_name,
+        new_tasks,
+        pipeline_edges,
+        history_edges_scanned,
+    }
 }
 
 /// Build an augmentation directly from the history for a *retrieval
@@ -220,7 +235,8 @@ pub fn augment(
 pub fn augment_request(history: &History, requests: &[ArtifactName]) -> Option<Augmentation> {
     let matched: Vec<NodeId> =
         requests.iter().map(|&n| history.node_of(n)).collect::<Option<_>>()?;
-    let relevant = connectivity::backward_relevant(&history.graph, &matched);
+    let relevant_edges = connectivity::backward_relevant_edges(&history.graph, &matched);
+    let history_edges_scanned = relevant_edges.len();
 
     let mut graph: HyperGraph<NodeLabel, EdgeLabel> = HyperGraph::new();
     let source = graph.add_node(NodeLabel::source());
@@ -230,10 +246,7 @@ pub fn augment_request(history: &History, requests: &[ArtifactName]) -> Option<A
                   label: &NodeLabel| {
         *node_by_name.entry(label.name).or_insert_with(|| graph.add_node(label.clone()))
     };
-    for he in history.graph.edge_ids() {
-        if !history.graph.head(he).iter().any(|&v| relevant.contains(v)) {
-            continue;
-        }
+    for he in relevant_edges {
         let label = history.graph.edge(he).clone();
         let tail: Vec<NodeId> = history
             .graph
@@ -263,6 +276,7 @@ pub fn augment_request(history: &History, requests: &[ArtifactName]) -> Option<A
         node_by_name,
         new_tasks: Vec::new(),
         pipeline_edges: Vec::new(),
+        history_edges_scanned,
     })
 }
 
@@ -578,6 +592,142 @@ mod tests {
         assert_eq!(delta.base_nodes, first.graph.node_bound());
         assert_eq!(delta.base_edges, first.graph.edge_bound());
         assert!(second.graph.edge_bound() > delta.base_edges, "history enrichment appended");
+    }
+
+    /// The history edges `H` contributes, listed the way augmentation
+    /// used to find them: a scan of every history edge, keeping those whose
+    /// head meets the B-relevant set of `targets`.
+    fn scanned_relevant_edges(h: &History, targets: &[NodeId]) -> Vec<EdgeId> {
+        let relevant = connectivity::backward_relevant(&h.graph, targets);
+        h.graph
+            .edge_ids()
+            .filter(|&e| h.graph.head(e).iter().any(|&v| relevant.contains(v)))
+            .collect()
+    }
+
+    fn names(
+        g: &HyperGraph<NodeLabel, EdgeLabel>,
+        vs: &[NodeId],
+        source: NodeId,
+    ) -> Vec<ArtifactName> {
+        vs.iter().map(|&v| node_name(g, v, source)).collect()
+    }
+
+    /// Retrieval augmentations of a seeded random history copy exactly the
+    /// edges the old whole-history scan selected, in its order: edge `k` of
+    /// `A` is the scan's `k`-th history edge, label and endpoints alike.
+    #[test]
+    fn request_augmentation_copies_the_scanned_edges_id_for_id() {
+        let h = crate::history::tests::random_history(3, 80);
+        let all: Vec<ArtifactName> = h.artifact_names().collect();
+        for requests in [vec![all[all.len() - 1]], vec![all[10], all[40], all[70]], all.clone()] {
+            let matched: Vec<NodeId> = requests.iter().map(|&n| h.node_of(n).unwrap()).collect();
+            let scanned = scanned_relevant_edges(&h, &matched);
+            let a = augment_request(&h, &requests).unwrap();
+            assert_eq!(a.history_edges_scanned, scanned.len());
+            let copied: Vec<EdgeId> = a.graph.edge_ids().collect();
+            assert_eq!(copied.len(), scanned.len());
+            for (&e, &he) in copied.iter().zip(&scanned) {
+                assert_eq!(a.graph.edge(e), h.graph.edge(he));
+                assert_eq!(
+                    names(&a.graph, a.graph.tail(e), a.source),
+                    names(&h.graph, h.graph.tail(he), h.source)
+                );
+                assert_eq!(
+                    names(&a.graph, a.graph.head(e), a.source),
+                    names(&h.graph, h.graph.head(he), h.source)
+                );
+            }
+        }
+    }
+
+    /// A pipeline augmentation against a seeded random history that also
+    /// holds the pipeline's own split and an alternative scaler fit takes
+    /// its history edges in the old scan's order: the relevant edges come
+    /// out exactly as scanned, and the ones that survive deduplication
+    /// enter `A` in increasing history edge id.
+    #[test]
+    fn pipeline_augmentation_takes_history_edges_in_scan_order() {
+        let p = small_pipeline();
+        let mut h = crate::history::tests::random_history(5, 60);
+        let raw = naming::dataset_name("higgs");
+        let cfg = Config::new().with_i("seed", 0);
+        let train =
+            naming::output_name(LogicalOp::TrainTestSplit, TaskType::Split, &cfg, &[raw], 0);
+        let test = naming::output_name(LogicalOp::TrainTestSplit, TaskType::Split, &cfg, &[raw], 1);
+        let mk = |name: ArtifactName| ProducedArtifact {
+            name,
+            label: NodeLabel {
+                name,
+                kind: ArtifactKind::Data,
+                role: ArtifactRole::Train,
+                hint: "x".into(),
+                size_bytes: Some(100),
+            },
+            size_bytes: 100,
+        };
+        h.record_task(
+            LogicalOp::TrainTestSplit,
+            TaskType::Split,
+            0,
+            &cfg,
+            &[raw],
+            &[mk(train), mk(test)],
+            0.2,
+        );
+        let state = naming::output_name(
+            LogicalOp::StandardScaler,
+            TaskType::Fit,
+            &Config::new(),
+            &[train],
+            0,
+        );
+        h.record_task(
+            LogicalOp::StandardScaler,
+            TaskType::Fit,
+            1,
+            &Config::new(),
+            &[train],
+            &[mk(state)],
+            0.5,
+        );
+        for name in [state, raw, test, train] {
+            h.materialize(name);
+        }
+
+        let plain = augment(&p, &History::new(), &Dictionary::full(), AugmentOptions::default());
+        let a = augment(&p, &h, &Dictionary::full(), AugmentOptions::default());
+        let matched: Vec<NodeId> = a
+            .graph
+            .node_ids()
+            .filter(|&v| v != a.source)
+            .filter_map(|v| h.node_of(a.name_of(v)))
+            .collect();
+        let scanned = scanned_relevant_edges(&h, &matched);
+        assert_eq!(connectivity::backward_relevant_edges(&h.graph, &matched), scanned);
+        assert_eq!(a.history_edges_scanned, scanned.len());
+        // Edges past the pipeline + dictionary prefix came from H; map each
+        // back to its history edge and check the scan order.
+        let from_history: Vec<EdgeId> = a
+            .graph
+            .edge_ids()
+            .skip(plain.graph.edge_count())
+            .map(|e| {
+                let head = h.node_of(a.name_of(a.graph.head(e)[0])).unwrap();
+                let tail = names(&a.graph, a.graph.tail(e), a.source);
+                *h.graph
+                    .bstar(head)
+                    .iter()
+                    .find(|&&he| {
+                        h.graph.edge(he) == a.graph.edge(e)
+                            && names(&h.graph, h.graph.tail(he), h.source) == tail
+                    })
+                    .expect("every enrichment edge is a history edge")
+            })
+            .collect();
+        assert_eq!(from_history.len(), 3, "the loads of state, test and train");
+        assert!(from_history.windows(2).all(|w| w[0] < w[1]), "{from_history:?}");
+        assert!(from_history.iter().all(|he| scanned.contains(he)));
     }
 
     #[test]

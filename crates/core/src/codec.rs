@@ -7,7 +7,7 @@
 //! free). A hand-rolled little-endian format over `bytes::BufMut` gives us
 //! that: ~memcpy for the `f64` payloads, with small tags for structure.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use hyppo_ml::artifact::{Artifact, OpState, TreeModel, TreeNode};
 use hyppo_ml::LogicalOp;
 use hyppo_tensor::{Dataset, Matrix, TaskKind};
@@ -58,6 +58,49 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// Where an encoding pass goes: [`encode`] writes the bytes into a
+/// buffer, [`encoded_size`] only adds up their lengths. One layout,
+/// written once, drives both.
+trait Sink {
+    fn emit_u8(&mut self, v: u8);
+    fn emit_u64(&mut self, v: u64);
+    fn emit_f64(&mut self, v: f64);
+    fn emit_slice(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn emit_u8(&mut self, v: u8) {
+        self.put_u8(v);
+    }
+    fn emit_u64(&mut self, v: u64) {
+        self.put_u64_le(v);
+    }
+    fn emit_f64(&mut self, v: f64) {
+        self.put_f64_le(v);
+    }
+    fn emit_slice(&mut self, bytes: &[u8]) {
+        self.put_slice(bytes);
+    }
+}
+
+/// A sink that counts bytes instead of writing them.
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    fn emit_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn emit_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+    fn emit_f64(&mut self, _: f64) {
+        self.0 += 8;
+    }
+    fn emit_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
 fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
         return Err(CodecError(format!("truncated buffer reading {what}")));
@@ -65,10 +108,10 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     Ok(())
 }
 
-fn put_f64s(out: &mut BytesMut, v: &[f64]) {
-    out.put_u64_le(v.len() as u64);
+fn put_f64s(out: &mut impl Sink, v: &[f64]) {
+    out.emit_u64(v.len() as u64);
     for &x in v {
-        out.put_f64_le(x);
+        out.emit_f64(x);
     }
 }
 
@@ -79,9 +122,9 @@ fn get_f64s(buf: &mut &[u8]) -> Result<Vec<f64>> {
     Ok((0..n).map(|_| buf.get_f64_le()).collect())
 }
 
-fn put_str(out: &mut BytesMut, s: &str) {
-    out.put_u64_le(s.len() as u64);
-    out.put_slice(s.as_bytes());
+fn put_str(out: &mut impl Sink, s: &str) {
+    out.emit_u64(s.len() as u64);
+    out.emit_slice(s.as_bytes());
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String> {
@@ -92,11 +135,11 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
     String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(e.to_string()))
 }
 
-fn put_matrix(out: &mut BytesMut, m: &Matrix) {
-    out.put_u64_le(m.rows() as u64);
-    out.put_u64_le(m.cols() as u64);
+fn put_matrix(out: &mut impl Sink, m: &Matrix) {
+    out.emit_u64(m.rows() as u64);
+    out.emit_u64(m.cols() as u64);
     for &x in m.as_slice() {
-        out.put_f64_le(x);
+        out.emit_f64(x);
     }
 }
 
@@ -121,20 +164,20 @@ fn op_from_tag(tag: u8) -> Result<LogicalOp> {
         .ok_or_else(|| CodecError(format!("unknown op tag {tag}")))
 }
 
-fn put_tree(out: &mut BytesMut, t: &TreeModel) {
-    out.put_u64_le(t.nodes.len() as u64);
+fn put_tree(out: &mut impl Sink, t: &TreeModel) {
+    out.emit_u64(t.nodes.len() as u64);
     for node in &t.nodes {
         match *node {
             TreeNode::Leaf { value } => {
-                out.put_u8(0);
-                out.put_f64_le(value);
+                out.emit_u8(0);
+                out.emit_f64(value);
             }
             TreeNode::Split { feature, threshold, left, right } => {
-                out.put_u8(1);
-                out.put_u64_le(feature as u64);
-                out.put_f64_le(threshold);
-                out.put_u64_le(left as u64);
-                out.put_u64_le(right as u64);
+                out.emit_u8(1);
+                out.emit_u64(feature as u64);
+                out.emit_f64(threshold);
+                out.emit_u64(left as u64);
+                out.emit_u64(right as u64);
             }
         }
     }
@@ -166,8 +209,8 @@ fn get_tree(buf: &mut &[u8]) -> Result<TreeModel> {
     Ok(TreeModel { nodes })
 }
 
-fn put_trees(out: &mut BytesMut, trees: &[TreeModel]) {
-    out.put_u64_le(trees.len() as u64);
+fn put_trees(out: &mut impl Sink, trees: &[TreeModel]) {
+    out.emit_u64(trees.len() as u64);
     for t in trees {
         put_tree(out, t);
     }
@@ -183,77 +226,77 @@ fn get_trees(buf: &mut &[u8]) -> Result<Vec<TreeModel>> {
     Ok(out)
 }
 
-fn put_state(out: &mut BytesMut, s: &OpState) {
+fn put_state(out: &mut impl Sink, s: &OpState) {
     match s {
         OpState::Scaler { op, offset, scale } => {
-            out.put_u8(0);
-            out.put_u8(op_tag(*op));
+            out.emit_u8(0);
+            out.emit_u8(op_tag(*op));
             put_f64s(out, offset);
             put_f64s(out, scale);
         }
         OpState::Imputer { op, fill } => {
-            out.put_u8(1);
-            out.put_u8(op_tag(*op));
+            out.emit_u8(1);
+            out.emit_u8(op_tag(*op));
             put_f64s(out, fill);
         }
         OpState::Poly { degree, input_dim } => {
-            out.put_u8(2);
-            out.put_u64_le(*degree as u64);
-            out.put_u64_le(*input_dim as u64);
+            out.emit_u8(2);
+            out.emit_u64(*degree as u64);
+            out.emit_u64(*input_dim as u64);
         }
         OpState::Pca { mean, components } => {
-            out.put_u8(3);
+            out.emit_u8(3);
             put_f64s(out, mean);
             put_matrix(out, components);
         }
         OpState::Discretizer { edges } => {
-            out.put_u8(4);
-            out.put_u64_le(edges.len() as u64);
+            out.emit_u8(4);
+            out.emit_u64(edges.len() as u64);
             for e in edges {
                 put_f64s(out, e);
             }
         }
         OpState::Linear { op, weights, bias } => {
-            out.put_u8(5);
-            out.put_u8(op_tag(*op));
+            out.emit_u8(5);
+            out.emit_u8(op_tag(*op));
             put_f64s(out, weights);
-            out.put_f64_le(*bias);
+            out.emit_f64(*bias);
         }
         OpState::Tree(t) => {
-            out.put_u8(6);
+            out.emit_u8(6);
             put_tree(out, t);
         }
         OpState::Forest { trees, classification } => {
-            out.put_u8(7);
-            out.put_u8(*classification as u8);
+            out.emit_u8(7);
+            out.emit_u8(*classification as u8);
             put_trees(out, trees);
         }
         OpState::Gbm { trees, learning_rate, base } => {
-            out.put_u8(8);
-            out.put_f64_le(*learning_rate);
-            out.put_f64_le(*base);
+            out.emit_u8(8);
+            out.emit_f64(*learning_rate);
+            out.emit_f64(*base);
             put_trees(out, trees);
         }
         OpState::KMeans { centroids } => {
-            out.put_u8(9);
+            out.emit_u8(9);
             put_matrix(out, centroids);
         }
         OpState::Voting { members, classification } => {
-            out.put_u8(10);
-            out.put_u8(*classification as u8);
-            out.put_u64_le(members.len() as u64);
+            out.emit_u8(10);
+            out.emit_u8(*classification as u8);
+            out.emit_u64(members.len() as u64);
             for m in members {
                 put_state(out, m);
             }
         }
         OpState::Stacking { members, meta_weights, meta_bias } => {
-            out.put_u8(11);
-            out.put_u64_le(members.len() as u64);
+            out.emit_u8(11);
+            out.emit_u64(members.len() as u64);
             for m in members {
                 put_state(out, m);
             }
             put_f64s(out, meta_weights);
-            out.put_f64_le(*meta_bias);
+            out.emit_f64(*meta_bias);
         }
     }
 }
@@ -333,11 +376,21 @@ fn get_state(buf: &mut &[u8]) -> Result<OpState> {
     })
 }
 
+/// Bytes the v1 frame puts before the body: the marker and the checksum.
+const FRAME_HEADER: usize = 5;
+
 /// Exact byte length [`encode`] produces for this artifact. The in-memory
 /// estimate `Artifact::size_bytes` excludes tags/lengths/strings, so budget
-/// accounting must use this instead.
+/// accounting must use this instead. Counts the layout without writing it:
+/// no allocation and no checksum.
 pub fn encoded_size(artifact: &Artifact) -> u64 {
-    encode(artifact).len() as u64
+    FRAME_HEADER as u64 + body_size(artifact)
+}
+
+fn body_size(artifact: &Artifact) -> u64 {
+    let mut count = ByteCount(0);
+    put_body(&mut count, artifact);
+    count.0
 }
 
 /// Serialize an artifact to bytes, CRC-framed:
@@ -345,45 +398,51 @@ pub fn encoded_size(artifact: &Artifact) -> u64 {
 /// checksum, so bit rot in a spilled `.art` file or a torn store write is
 /// detected instead of trusted.
 pub fn encode(artifact: &Artifact) -> Bytes {
-    let body = encode_body(artifact);
-    let mut out = BytesMut::with_capacity(body.len() + 5);
+    let mut out = Vec::with_capacity(FRAME_HEADER + body_size(artifact) as usize);
     out.put_u8(FRAME_V1);
-    out.put_slice(&crc32(&body).to_le_bytes());
-    out.put_slice(&body);
-    out.freeze()
+    out.put_slice(&[0; 4]); // the checksum, filled in once the body is written
+    put_body(&mut out, artifact);
+    let crc = crc32(&out[FRAME_HEADER..]);
+    out[1..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Bytes::from(out)
 }
 
 /// Serialize an artifact's unframed (v0) body.
-fn encode_body(artifact: &Artifact) -> BytesMut {
-    let mut out = BytesMut::with_capacity(artifact.size_bytes() + 64);
+#[cfg(test)]
+fn encode_body(artifact: &Artifact) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_body(&mut out, artifact);
+    out
+}
+
+fn put_body(out: &mut impl Sink, artifact: &Artifact) {
     match artifact {
         Artifact::Data(d) => {
-            out.put_u8(0);
-            put_matrix(&mut out, &d.x);
-            put_f64s(&mut out, &d.y);
-            out.put_u8(match d.task {
+            out.emit_u8(0);
+            put_matrix(out, &d.x);
+            put_f64s(out, &d.y);
+            out.emit_u8(match d.task {
                 TaskKind::Classification => 0,
                 TaskKind::Regression => 1,
             });
-            out.put_u64_le(d.feature_names.len() as u64);
+            out.emit_u64(d.feature_names.len() as u64);
             for n in &d.feature_names {
-                put_str(&mut out, n);
+                put_str(out, n);
             }
         }
         Artifact::Predictions(p) => {
-            out.put_u8(1);
-            put_f64s(&mut out, p);
+            out.emit_u8(1);
+            put_f64s(out, p);
         }
         Artifact::Value(v) => {
-            out.put_u8(2);
-            out.put_f64_le(*v);
+            out.emit_u8(2);
+            out.emit_f64(*v);
         }
         Artifact::OpState(s) => {
-            out.put_u8(3);
-            put_state(&mut out, s);
+            out.emit_u8(3);
+            put_state(out, s);
         }
     }
-    out
 }
 
 /// Deserialize an artifact from a borrowed byte slice (a `&Bytes` view
@@ -447,6 +506,7 @@ fn decode_body(mut buf: &[u8]) -> Result<Artifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use hyppo_ml::LogicalOp;
 
     fn roundtrip(a: Artifact) {
@@ -476,8 +536,8 @@ mod tests {
         assert!(gap.approx_eq(&back, 0.0));
     }
 
-    #[test]
-    fn roundtrips_every_op_state_variant() {
+    /// One value of every `OpState` variant, with nested trees and members.
+    fn every_op_state() -> Vec<OpState> {
         let tree = TreeModel {
             nodes: vec![
                 TreeNode::Split { feature: 1, threshold: 0.5, left: 1, right: 2 },
@@ -485,7 +545,7 @@ mod tests {
                 TreeNode::Leaf { value: 1.0 },
             ],
         };
-        let states = vec![
+        vec![
             OpState::Scaler { op: LogicalOp::StandardScaler, offset: vec![1.0], scale: vec![2.0] },
             OpState::Imputer { op: LogicalOp::ImputerMedian, fill: vec![0.5, 0.25] },
             OpState::Poly { degree: 2, input_dim: 30 },
@@ -502,9 +562,39 @@ mod tests {
                 meta_weights: vec![1.5],
                 meta_bias: 0.25,
             },
-        ];
-        for s in states {
+        ]
+    }
+
+    #[test]
+    fn roundtrips_every_op_state_variant() {
+        for s in every_op_state() {
             roundtrip(Artifact::OpState(s));
+        }
+    }
+
+    #[test]
+    fn encoded_size_is_the_encoded_length_of_every_variant() {
+        let mut artifacts = vec![
+            Artifact::Value(-0.5),
+            Artifact::Predictions(vec![]),
+            Artifact::Predictions(vec![1.0, 2.0, 3.0]),
+            Artifact::Data(Dataset::new(
+                Matrix::filled(3, 2, 0.25),
+                vec![0.0, 1.0, 0.0],
+                vec!["α-feature".into(), String::new()],
+                TaskKind::Classification,
+            )),
+            Artifact::Data(Dataset::new(
+                Matrix::filled(0, 4, 0.0),
+                vec![],
+                vec!["a".into(), "bb".into(), "ccc".into(), "dddd".into()],
+                TaskKind::Regression,
+            )),
+        ];
+        artifacts.extend(every_op_state().into_iter().map(Artifact::OpState));
+        for a in &artifacts {
+            assert_eq!(encoded_size(a), encode(a).len() as u64, "{a:?}");
+            assert_eq!(body_size(a), encode_body(a).len() as u64, "{a:?}");
         }
     }
 
@@ -553,13 +643,14 @@ mod tests {
         let body = encode_body(&a);
         assert_eq!(framed.len(), body.len() + 5);
         assert_eq!(framed[0], FRAME_V1);
+        assert_eq!(framed[1..5], crc32(&body).to_le_bytes());
         assert_eq!(&framed[5..], &body[..]);
     }
 
     #[test]
     fn legacy_unframed_bytes_still_decode() {
         let a = Artifact::Predictions(vec![1.0, -2.0]);
-        let legacy = encode_body(&a).freeze();
+        let legacy = Bytes::from(encode_body(&a));
         assert_ne!(legacy[0], FRAME_V1, "legacy bodies start with an artifact tag");
         assert_eq!(decode(&legacy).unwrap(), a);
     }

@@ -39,6 +39,16 @@ pub struct ProducedArtifact {
     pub size_bytes: u64,
 }
 
+/// Depths of a set of artifacts, from [`History::depths_of`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Depths {
+    /// Depth of every requested artifact the history knows.
+    pub by_name: HashMap<ArtifactName, f64>,
+    /// Nodes the walk computed a depth for: the requested artifacts and
+    /// their ancestors, never the rest of the history.
+    pub nodes_visited: usize,
+}
+
 /// The history `H`.
 #[derive(Clone, Debug)]
 pub struct History {
@@ -101,6 +111,11 @@ impl History {
     /// journal is disabled).
     pub fn take_events(&mut self) -> Vec<DurableEvent> {
         std::mem::take(&mut self.journal)
+    }
+
+    /// Whether the journal holds events not yet drained.
+    pub fn has_pending_events(&self) -> bool {
+        !self.journal.is_empty()
     }
 
     /// Append an event to the journal without applying it. No-op while the
@@ -304,20 +319,24 @@ impl History {
         self.graph.node_ids().filter(|&v| v != self.source).map(|v| self.graph.node(v).name)
     }
 
-    /// Artifact depths: the average number of hyperedges from the source
-    /// over the *computational* alternatives (load edges are ignored so
-    /// materialization does not feed back into the locality weighting).
-    /// Artifacts with no computational producer (raw datasets) have
-    /// depth 1.
-    pub fn depths(&self) -> HashMap<ArtifactName, f64> {
-        // Memoized DFS over the acyclic name-recursion structure.
-        let mut depth: HashMap<NodeId, f64> = HashMap::new();
-        depth.insert(self.source, 0.0);
-        self.graph
-            .node_ids()
-            .filter(|&v| v != self.source)
-            .map(|v| (self.graph.node(v).name, self.depth_of(v, &mut depth)))
-            .collect()
+    /// Depths of the named artifacts: the average number of hyperedges
+    /// from the source over the *computational* alternatives (load edges
+    /// are ignored so materialization does not feed back into the locality
+    /// weighting). Artifacts with no computational producer (raw datasets)
+    /// have depth 1; names the history does not know are left out.
+    ///
+    /// One memoized walk over the ancestors of the named artifacts only.
+    /// The history is acyclic and each depth sums its producers in
+    /// backward-star order, so a depth is the same `f64` whichever names
+    /// are requested with it.
+    pub fn depths_of(&self, names: impl IntoIterator<Item = ArtifactName>) -> Depths {
+        let mut memo: HashMap<NodeId, f64> = HashMap::new();
+        memo.insert(self.source, 0.0);
+        let by_name = names
+            .into_iter()
+            .filter_map(|name| Some((name, self.depth_of(self.node_of(name)?, &mut memo))))
+            .collect();
+        Depths { by_name, nodes_visited: memo.len() - 1 }
     }
 
     fn depth_of(&self, node: NodeId, memo: &mut HashMap<NodeId, f64>) -> f64 {
@@ -361,7 +380,7 @@ impl History {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hyppo_ml::ArtifactKind;
     use hyppo_pipeline::ArtifactRole;
@@ -468,11 +487,27 @@ mod tests {
         assert_eq!(s.last_access, 2);
     }
 
+    /// The whole-history walk `depths_of` replaced: every artifact's depth
+    /// from one memo shared across the whole graph, in node order.
+    fn depths_oracle(h: &History) -> HashMap<ArtifactName, f64> {
+        let mut memo: HashMap<NodeId, f64> = HashMap::new();
+        memo.insert(h.source, 0.0);
+        h.graph
+            .node_ids()
+            .filter(|&v| v != h.source)
+            .map(|v| (h.graph.node(v).name, h.depth_of(v, &mut memo)))
+            .collect()
+    }
+
+    fn depths_by_name(h: &History, names: &[ArtifactName]) -> HashMap<ArtifactName, f64> {
+        h.depths_of(names.iter().copied()).by_name
+    }
+
     #[test]
     fn depths_average_over_compute_alternatives() {
         let mut h = History::new();
         let (raw, state) = record_chain(&mut h);
-        let depths = h.depths();
+        let depths = depths_by_name(&h, &[raw, state]);
         assert_eq!(depths[&raw], 1.0);
         assert_eq!(depths[&state], 2.0);
         // A second, longer derivation of the same artifact changes the avg.
@@ -496,7 +531,7 @@ mod tests {
             &[produced(state, 64)],
             0.4,
         );
-        let depths = h.depths();
+        let depths = depths_by_name(&h, &[state]);
         // Alternatives: via raw (depth 2) and via mid (depth 3) → avg 2.5.
         assert!((depths[&state] - 2.5).abs() < 1e-12);
     }
@@ -505,10 +540,95 @@ mod tests {
     fn materialization_does_not_change_depth() {
         let mut h = History::new();
         let (_, state) = record_chain(&mut h);
-        let before = h.depths()[&state];
+        let before = depths_by_name(&h, &[state])[&state];
         h.materialize(state);
-        let after = h.depths()[&state];
+        let after = depths_by_name(&h, &[state])[&state];
         assert_eq!(before, after, "load edges are excluded from depth");
+    }
+
+    #[test]
+    fn depths_of_walks_only_the_ancestry_of_the_named_artifacts() {
+        let mut h = random_history(7, 40);
+        let (raw, state) = record_chain(&mut h);
+        assert!(h.artifact_count() > 40);
+        assert_eq!(h.depths_of([]).nodes_visited, 0);
+        let d = h.depths_of([state, ArtifactName(12345)]);
+        assert_eq!(d.nodes_visited, 2, "state and raw");
+        assert_eq!(d.by_name.len(), 1, "unknown names are left out");
+        assert_eq!(h.depths_of([raw]).nodes_visited, 1);
+    }
+
+    /// On seeded random histories (parallel alternatives, multi-output
+    /// tasks, dataset and materialization loads, evictions), the depth of
+    /// every artifact in every random candidate subset is bit-identical to
+    /// the whole-history walk.
+    #[test]
+    fn depths_of_candidates_are_bit_identical_to_the_whole_history_walk() {
+        for seed in 0..24 {
+            let h = random_history(seed, 60);
+            let oracle = depths_oracle(&h);
+            let names: Vec<ArtifactName> = h.artifact_names().collect();
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..8 {
+                let subset: Vec<ArtifactName> =
+                    names.iter().copied().filter(|_| next(&mut rng).is_multiple_of(4)).collect();
+                let depths = h.depths_of(subset.iter().copied());
+                assert_eq!(depths.by_name.len(), subset.len());
+                for n in &subset {
+                    assert_eq!(
+                        depths.by_name[n].to_bits(),
+                        oracle[n].to_bits(),
+                        "seed {seed}: depth of {n:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        hyppo_hypergraph::mix64(*state)
+    }
+
+    /// A seeded random history of about `tasks` recorded tasks over two
+    /// datasets: tasks take one to three earlier artifacts as input and
+    /// produce one or two outputs, some tasks get parallel implementations,
+    /// and some artifacts are materialized and then evicted again.
+    pub(crate) fn random_history(seed: u64, tasks: usize) -> History {
+        let mut rng = seed ^ 0xD1B5_4A32_D192_ED03;
+        let mut h = History::new();
+        h.record_dataset("higgs", 1000);
+        h.record_dataset("taxi", 2000);
+        let mut known = vec![naming::dataset_name("higgs"), naming::dataset_name("taxi")];
+        let ops = [LogicalOp::StandardScaler, LogicalOp::Normalizer, LogicalOp::Pca];
+        for i in 0..tasks {
+            let op = ops[next(&mut rng) as usize % ops.len()];
+            let cfg = Config::new().with_i("i", i as i64);
+            let arity = 1 + next(&mut rng) as usize % 3;
+            let mut inputs: Vec<ArtifactName> = Vec::new();
+            for _ in 0..arity {
+                let input = known[next(&mut rng) as usize % known.len()];
+                if !inputs.contains(&input) {
+                    inputs.push(input);
+                }
+            }
+            let outputs: Vec<ProducedArtifact> = (0..1 + next(&mut rng) as usize % 2)
+                .map(|k| produced(naming::output_name(op, TaskType::Fit, &cfg, &inputs, k), 64))
+                .collect();
+            let impls = if next(&mut rng).is_multiple_of(5) { 2 } else { 1 };
+            for impl_index in 0..impls {
+                h.record_task(op, TaskType::Fit, impl_index, &cfg, &inputs, &outputs, 0.1);
+            }
+            known.extend(outputs.iter().map(|o| o.name));
+            if next(&mut rng).is_multiple_of(3) {
+                let name = known[next(&mut rng) as usize % known.len()];
+                h.materialize(name);
+                if next(&mut rng).is_multiple_of(2) {
+                    h.evict(name);
+                }
+            }
+        }
+        h
     }
 
     #[test]

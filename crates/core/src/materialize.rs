@@ -19,7 +19,7 @@
 //! [`PlanLocality::ExpDecay`]; see DESIGN.md for the discussion.
 
 use crate::estimator::CostEstimator;
-use crate::history::History;
+use crate::history::{Depths, History};
 use crate::store::ArtifactStorage;
 use hyppo_ml::Artifact;
 use hyppo_pipeline::{ArtifactName, ArtifactRole};
@@ -75,6 +75,10 @@ pub struct MaterializeReport {
     pub evicted: Vec<ArtifactName>,
     /// Bytes in use after the round.
     pub used_bytes: u64,
+    /// History nodes whose depth the round computed: the candidates and
+    /// their ancestors. Bounded by the candidates' ancestry in the
+    /// history, not by the size of the history; 0 with no candidates.
+    pub depth_nodes_visited: usize,
 }
 
 /// The greedy materializer.
@@ -107,12 +111,12 @@ impl Materializer {
         &self,
         history: &History,
         estimator: &CostEstimator,
-        depths: &HashMap<ArtifactName, f64>,
+        depths: &Depths,
         name: ArtifactName,
         size: u64,
     ) -> f64 {
         let stats = history.stats_of(name);
-        let depth = depths.get(&name).copied().unwrap_or(1.0);
+        let depth = depths.by_name.get(&name).copied().unwrap_or(1.0);
         self.config.locality.coefficient(depth)
             * gain(stats.freq, stats.compute_cost, estimator.load_cost(size))
     }
@@ -129,8 +133,6 @@ impl Materializer {
         estimator: &CostEstimator,
         fresh: &HashMap<ArtifactName, Artifact>,
     ) -> MaterializeReport {
-        let depths = history.depths();
-
         // Candidate set: currently materialized ∪ fresh, minus raw data
         // sources (never candidates, §IV-H) and unknown artifacts.
         let mut candidates: Vec<(ArtifactName, u64, bool)> = Vec::new(); // (name, size, is_fresh)
@@ -157,6 +159,8 @@ impl Materializer {
             candidates.push((name, crate::codec::encoded_size(artifact), true));
         }
 
+        let depths = history.depths_of(candidates.iter().map(|&(name, ..)| name));
+
         // Rank by locality-weighted gain, descending.
         let mut ranked: Vec<(f64, ArtifactName, u64, bool)> = candidates
             .into_iter()
@@ -177,7 +181,10 @@ impl Materializer {
             }
         }
 
-        let mut report = MaterializeReport::default();
+        let mut report = MaterializeReport {
+            depth_nodes_visited: depths.nodes_visited,
+            ..MaterializeReport::default()
+        };
         // Evict materialized artifacts that lost their slot, in load-edge
         // order, so the journaled `Evict` events come out the same in every
         // process.

@@ -205,6 +205,31 @@ pub fn is_b_connected<N, E>(
 /// This is the relevance filter HYPPO's augmenter uses: history nodes not in
 /// this set can never participate in a plan for the requested targets.
 pub fn backward_relevant<N, E>(graph: &HyperGraph<N, E>, targets: &[NodeId]) -> NodeBitSet {
+    backward_walk(graph, targets, |_| ())
+}
+
+/// The hyperedges [`backward_relevant`] traverses: every live hyperedge
+/// whose head meets the relevant set of `targets`, in increasing id order
+/// (the order [`HyperGraph::edge_ids`] would list them in).
+///
+/// Gathered from the backward stars of the relevant nodes, so the cost is
+/// the size of the targets' ancestry, not of the whole graph. Removed
+/// hyperedges are detached from every star, so none is returned.
+pub fn backward_relevant_edges<N, E>(graph: &HyperGraph<N, E>, targets: &[NodeId]) -> Vec<EdgeId> {
+    let mut edges = Vec::new();
+    backward_walk(graph, targets, |e| edges.push(e));
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Depth-first walk from `targets` against edge direction, calling `visit`
+/// on every backward-star entry of every relevant node.
+fn backward_walk<N, E>(
+    graph: &HyperGraph<N, E>,
+    targets: &[NodeId],
+    mut visit: impl FnMut(EdgeId),
+) -> NodeBitSet {
     let mut relevant = NodeBitSet::with_bound(graph.node_bound());
     let mut stack: Vec<NodeId> = Vec::new();
     for &t in targets {
@@ -214,6 +239,7 @@ pub fn backward_relevant<N, E>(graph: &HyperGraph<N, E>, targets: &[NodeId]) -> 
     }
     while let Some(v) = stack.pop() {
         for &e in graph.bstar(v) {
+            visit(e);
             for &u in graph.tail(e) {
                 if relevant.insert(u) {
                     stack.push(u);
@@ -324,6 +350,22 @@ mod tests {
             assert!(rel.contains(v), "{v} participates in a derivation of d");
         }
         assert!(!rel.contains(n[5]));
+    }
+
+    #[test]
+    fn backward_relevant_edges_are_the_edges_into_the_relevant_set() {
+        let (mut g, n) = sample();
+        let t0 = g.edge_ids().next().unwrap();
+        // A second producer of `a`, removed again: it must not come back.
+        let dead = g.add_edge(vec![n[5]], vec![n[1]], "t4");
+        g.remove_edge(dead);
+        for targets in [vec![n[4]], vec![n[2], n[3]], vec![n[1]], vec![n[5]], vec![]] {
+            let rel = backward_relevant(&g, &targets);
+            let scanned: Vec<EdgeId> =
+                g.edge_ids().filter(|&e| g.head(e).iter().any(|&v| rel.contains(v))).collect();
+            assert_eq!(backward_relevant_edges(&g, &targets), scanned, "targets {targets:?}");
+        }
+        assert_eq!(backward_relevant_edges(&g, &[n[1]]), vec![t0]);
     }
 
     #[test]

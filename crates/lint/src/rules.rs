@@ -67,12 +67,14 @@ pub fn rule_family(rule: &str) -> &'static str {
 }
 
 /// Code that must produce bit-identical results under any thread count and
-/// in every process: the planner, the submission engine and the catalog
+/// in every process: the planner, the augmenter (its edge order becomes the
+/// edge ids plan tie-breaks read), the submission engine and the catalog
 /// state it commits (history, materializer — their iteration order reaches
 /// the WAL), the serving layer with its shared backend, and the hypergraph
 /// kernels.
 const DETERMINISM_SCOPE: &[&str] = &[
     "crates/core/src/optimizer/",
+    "crates/core/src/augment.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/system.rs",
     "crates/core/src/history.rs",

@@ -5,13 +5,15 @@
 //! `sync_data` even when dozens of commits land within the same
 //! millisecond. [`GroupCommitWal`] splits the hook into two halves:
 //!
-//! - [`DurabilityHook::append`] only *buffers*: events drained inside the
-//!   catalog write lock (commit order = epoch order) go into an in-memory
-//!   pending queue, preserving that order. No IO, no fsync.
+//! - [`DurabilityHook::append`] only *frames and buffers*: events drained
+//!   inside the catalog write lock (commit order = epoch order) are
+//!   serialized into WAL records on the committing thread and appended to
+//!   an in-memory pending buffer, preserving that order. No IO, no fsync.
 //! - [`GroupCommitWal::flush_group`] takes everything pending and hands it
-//!   to the underlying [`WalWriter`] as **one** framed batch — one
-//!   buffered `write_all`, one `sync_data`, regardless of how many
-//!   submissions contributed.
+//!   to the underlying [`WalWriter`] as **one** batch of framed records —
+//!   one buffered write per delivery, one `sync_data`, regardless of how
+//!   many submissions contributed. The flushing thread does IO only, so a
+//!   dedicated log writer needs no CPU to speak of.
 //!
 //! The serving layer calls `flush_group` at commit-group boundaries (every
 //! `commit_group` epochs, and whenever the runtime drains idle), making
@@ -27,7 +29,7 @@
 //! crash test in `tests/group_commit_crash.rs` cuts exactly at an epoch
 //! boundary and mid-group to prove both.
 
-use crate::wal::WalWriter;
+use crate::wal::{frame_records, WalWriter};
 use hyppo_core::durable::{DurabilityHook, DurableEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,10 +45,20 @@ pub struct GroupCommitStats {
     pub fsyncs: u64,
 }
 
+/// Framed records not yet on disk, in commit (epoch) order.
+#[derive(Debug, Default)]
+struct Pending {
+    /// One buffer per delivery. Kept apart rather than concatenated, so a
+    /// flush that lags behind many commits holds many small buffers, not
+    /// one large one that the allocator would have to map and unmap.
+    records: Vec<Vec<u8>>,
+    /// Events framed in `records`.
+    events: usize,
+}
+
 #[derive(Debug)]
 struct GroupInner {
-    /// Buffered events in commit (epoch) order, not yet on disk.
-    pending: Mutex<Vec<DurableEvent>>,
+    pending: Mutex<Pending>,
     /// The log itself. Locked only by `flush_group`, never while `pending`
     /// is held.
     writer: Mutex<WalWriter>,
@@ -69,7 +81,7 @@ impl GroupCommitWal {
     pub fn new(writer: WalWriter) -> Self {
         GroupCommitWal {
             inner: Arc::new(GroupInner {
-                pending: Mutex::new(Vec::new()),
+                pending: Mutex::new(Pending::default()),
                 writer: Mutex::new(writer),
                 appends: AtomicU64::new(0),
                 events: AtomicU64::new(0),
@@ -78,35 +90,38 @@ impl GroupCommitWal {
         }
     }
 
-    /// Durably write everything buffered so far as one framed batch — one
-    /// `write_all`, one `sync_data`. Returns how many events were flushed
-    /// (zero when nothing was pending, in which case no IO happens).
+    /// Durably write everything buffered so far as one batch — the framed
+    /// records of each delivery in order, then one `sync_data`. Returns how
+    /// many events were flushed (zero when nothing was pending, in which
+    /// case no IO happens).
     pub fn flush_group(&self) -> std::io::Result<usize> {
         // Take the batch first and release `pending` before touching the
         // writer: appends from concurrent commits never wait on the fsync,
         // they just land in the next group.
         let batch = std::mem::take(&mut *self.lock_pending());
-        if batch.is_empty() {
+        if batch.events == 0 {
             return Ok(0);
         }
+        let mut writer = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner());
         // hyppo-lint: allow(blocking-in-critical-section) group-commit flush:
         // the writer mutex is the WAL serialization point, and holding it
         // across append+fsync is what makes the epoch group durable as a unit
-        let result = self.inner.writer.lock().unwrap_or_else(|e| e.into_inner()).append(&batch);
+        let result = writer.append_framed(&batch.records);
+        drop(writer);
         match result {
             Ok(()) => {
                 // hyppo-lint: allow(relaxed-ordering-justified) monotonic stats
                 // counter; readers only ever see it via `stats()` snapshots
                 self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
-                Ok(batch.len())
+                Ok(batch.events)
             }
             Err(e) => {
                 // Put the batch back at the *front* so a retry preserves
                 // commit order relative to events buffered meanwhile.
                 let mut pending = self.lock_pending();
-                let tail = std::mem::take(&mut *pending);
-                *pending = batch;
-                pending.extend(tail);
+                let tail = std::mem::replace(&mut *pending, batch);
+                pending.records.extend(tail.records);
+                pending.events += tail.events;
                 Err(e)
             }
         }
@@ -114,7 +129,7 @@ impl GroupCommitWal {
 
     /// Events buffered but not yet flushed.
     pub fn pending_events(&self) -> usize {
-        self.lock_pending().len()
+        self.lock_pending().events
     }
 
     /// Fsync-absorption counters so far.
@@ -141,14 +156,21 @@ impl GroupCommitWal {
         }
     }
 
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Vec<DurableEvent>> {
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Pending> {
         self.inner.pending.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl DurabilityHook for GroupCommitWal {
     fn append(&mut self, events: &[DurableEvent]) -> std::io::Result<()> {
-        self.lock_pending().extend_from_slice(events);
+        // Serialize before taking the lock: the flushing thread only ever
+        // waits on a copy of finished bytes.
+        let mut records = Vec::new();
+        frame_records(events, &mut records)?;
+        let mut pending = self.lock_pending();
+        pending.records.push(records);
+        pending.events += events.len();
+        drop(pending);
         // hyppo-lint: allow(relaxed-ordering-justified) monotonic stats
         // counters; ordering relative to the buffer is irrelevant
         self.inner.appends.fetch_add(1, Ordering::Relaxed);
@@ -194,6 +216,25 @@ mod tests {
         assert_eq!(stats.events, 5);
         assert_eq!(stats.fsyncs, 1, "two submissions, one fsync");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_group_flush_writes_the_bytes_of_one_direct_append() {
+        let (grouped, direct) = (tmp("bytes_grouped"), tmp("bytes_direct"));
+        for path in [&grouped, &direct] {
+            let _ = std::fs::remove_file(path);
+        }
+        let mut hook = GroupCommitWal::new(WalWriter::open(&grouped).unwrap().0);
+        hook.append(&events(0..3)).unwrap();
+        hook.append(&[]).unwrap();
+        hook.append(&events(3..7)).unwrap();
+        assert_eq!(hook.flush_group().unwrap(), 7);
+        let mut writer = WalWriter::open(&direct).unwrap().0;
+        writer.append(&events(0..7)).unwrap();
+        assert_eq!(std::fs::read(&grouped).unwrap(), std::fs::read(&direct).unwrap());
+        for path in [&grouped, &direct] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

@@ -115,6 +115,20 @@ pub fn read_wal(path: &Path) -> std::io::Result<WalContents> {
     Ok(contents)
 }
 
+/// Frame each event as one WAL record (length, checksum, JSON payload)
+/// onto `out`, in order.
+pub(crate) fn frame_records(events: &[DurableEvent], out: &mut Vec<u8>) -> std::io::Result<()> {
+    for event in events {
+        let payload = serde_json::to_string(event)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let payload = payload.as_bytes();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    Ok(())
+}
+
 /// Append half of the WAL: owns the open file, truncates torn tails on
 /// open, frames and fsyncs every batch.
 #[derive(Debug)]
@@ -158,17 +172,18 @@ impl WalWriter {
             return Ok(());
         }
         let mut buf = Vec::new();
-        for event in events {
-            let payload = serde_json::to_string(event)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            let payload = payload.as_bytes();
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(payload).to_le_bytes());
-            buf.extend_from_slice(payload);
+        frame_records(events, &mut buf)?;
+        self.append_framed(std::slice::from_ref(&buf))
+    }
+
+    /// Durably append buffers of records framed by [`frame_records`], in
+    /// order: one buffered write per buffer, one fsync for all of them.
+    pub(crate) fn append_framed(&mut self, buffers: &[Vec<u8>]) -> std::io::Result<()> {
+        for records in buffers {
+            self.file.write_all(records)?;
         }
-        self.file.write_all(&buf)?;
         self.file.sync_data()?;
-        self.len += buf.len() as u64;
+        self.len += buffers.iter().map(|b| b.len() as u64).sum::<u64>();
         Ok(())
     }
 

@@ -74,6 +74,8 @@ pub struct SharedHyppo {
     cumulative_seconds: Mutex<f64>,
     /// Wall-clock nanos spent waiting on the catalog lock.
     lock_wait_nanos: AtomicU64,
+    /// Commits that had to copy the catalog because a snapshot was held.
+    catalog_clones: AtomicU64,
     /// Planner heuristic-bounds cache, shared across sessions — concurrent
     /// submissions over the same (unchanged) history reuse one bounds
     /// computation instead of recomputing per plan.
@@ -102,6 +104,7 @@ impl SharedHyppo {
             store: SharedArtifactStore::from_store(store),
             cumulative_seconds: Mutex::new(0.0),
             lock_wait_nanos: AtomicU64::new(0),
+            catalog_clones: AtomicU64::new(0),
             bounds_cache: Arc::new(PlannerBoundsCache::new()),
             durability: Mutex::new(None),
         }
@@ -147,7 +150,13 @@ impl SharedHyppo {
         let start = Instant::now();
         let mut guard = self.catalog.write().unwrap_or_else(|e| e.into_inner());
         self.record_wait(start);
+        let before = Arc::as_ptr(&guard);
         let version = Arc::make_mut(&mut guard);
+        if !std::ptr::eq(before, version) {
+            // hyppo-lint: allow(relaxed-ordering-justified) a gauge; it
+            // orders nothing, and the write lock serializes the adds anyway
+            self.catalog_clones.fetch_add(1, Ordering::Relaxed);
+        }
         let result = f(version);
         // hyppo-lint: allow(blocking-in-critical-section) draining the WAL
         // inside the commit critical section is what makes WAL order equal
@@ -174,7 +183,15 @@ impl SharedHyppo {
 
     /// Drain queued events (e.g. from [`SharedHyppo::register_dataset`])
     /// into the attached durability hook.
+    ///
+    /// An idle flush (nothing journaled) returns without touching the
+    /// catalog, so it never copies a version a planner still holds.
+    /// Events are journaled only under the write lock, so a version seen
+    /// with none pending has nothing for this flush to drain.
     pub fn flush_durability(&self) -> std::io::Result<()> {
+        if !self.snapshot().history.has_pending_events() {
+            return Ok(());
+        }
         self.write(|_| ()).1
     }
 
@@ -224,6 +241,14 @@ impl SharedHyppo {
     /// hits, from-scratch recomputes, and journal-repaired patch-forwards.
     pub fn bounds_stats(&self) -> hyppo_core::BoundsCacheStats {
         self.bounds_cache.stats()
+    }
+
+    /// Commits that found a snapshot of the current version still held
+    /// and so copied the catalog (`Arc::make_mut` cloned) before mutating.
+    pub fn catalog_clones(&self) -> u64 {
+        // hyppo-lint: allow(relaxed-ordering-justified) a gauge read; it
+        // orders nothing
+        self.catalog_clones.load(Ordering::Relaxed)
     }
 
     /// Wall-clock seconds spent waiting on any lock (store shards plus the
@@ -567,6 +592,41 @@ mod tests {
         assert!(matches!(err, SubmitError::Durability(_)), "{err}");
         assert_eq!(shared.current_epoch(), before + 1, "the commit applied");
         assert!(shared.cumulative_seconds() > 0.0, "so its execution time counts");
+    }
+
+    /// Counts the events appended to it.
+    #[derive(Debug)]
+    struct CountingHook(Arc<AtomicU64>);
+
+    impl DurabilityHook for CountingHook {
+        fn append(&mut self, events: &[hyppo_core::DurableEvent]) -> std::io::Result<()> {
+            self.0.fetch_add(events.len() as u64, Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_idle_flush_makes_no_catalog_copy() {
+        let shared = SharedHyppo::new(HyppoConfig { mode: ExecMode::Simulated, ..config(0) });
+        let appended = Arc::new(AtomicU64::new(0));
+        shared.attach_durability(Box::new(CountingHook(Arc::clone(&appended))));
+        shared.register_dataset("taxi", taxi::generate(100, 5));
+        shared.submit_shared(wide_ensemble_spec("taxi", 3, 7)).unwrap();
+        assert_eq!(shared.catalog_clones(), 0, "uncontended commits mutate in place");
+        let drained = appended.load(Ordering::SeqCst);
+        assert!(drained > 0);
+
+        let held = shared.snapshot();
+        shared.flush_durability().unwrap();
+        shared.flush_durability().unwrap();
+        assert!(Arc::ptr_eq(&held, &shared.snapshot()), "an idle flush leaves the version");
+        assert_eq!(shared.catalog_clones(), 0);
+        assert_eq!(appended.load(Ordering::SeqCst), drained, "and appends nothing");
+
+        // A commit while the snapshot is held copies once.
+        shared.submit_shared(wide_ensemble_spec("taxi", 3, 8)).unwrap();
+        assert_eq!(shared.catalog_clones(), 1);
+        assert!(!Arc::ptr_eq(&held, &shared.snapshot()));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! - **Durability group-commits.** With a
 //!   [`GroupCommitWal`](hyppo_persist::GroupCommitWal) attached, commit
 //!   epochs buffer in order and the runtime pays one fsync per commit
-//!   group — the epoch boundary is the WAL linearization point.
+//!   group — the epoch boundary is the WAL linearization point. A
+//!   log-writer thread does the write and the fsync, so no worker waits
+//!   on the disk.
 //!
 //! The public surface is the [`Client`]: [`Client::submit`] returns a
 //! [`SubmissionHandle`] with `wait()` / `try_report()` / `cancel()`;

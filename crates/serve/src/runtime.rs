@@ -17,6 +17,11 @@
 //! lock. Planning happens against the backend's epoch snapshots, so
 //! tenants only serialize at the commit point — never across plan search.
 //!
+//! Group commit never blocks a worker: a worker that closes a commit group
+//! (or goes idle) only asks for a flush, and the runtime's one log-writer
+//! thread writes and fsyncs the group while the workers serve the next
+//! turns. Commits that land during a flush join the next group.
+//!
 //! Admission is bounded per tenant: a full mailbox either rejects new
 //! submissions with [`ServeError::Busy`] ([`AdmissionPolicy::Reject`]) or
 //! blocks the submitter until a slot frees ([`AdmissionPolicy::Block`]).
@@ -37,7 +42,7 @@ use hyppo_pipeline::{ArtifactName, PipelineSpec};
 use hyppo_sched::{SchedStats, Scheduler, Step, Worker};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// What a tenant's full mailbox does to new submissions.
@@ -65,9 +70,10 @@ pub struct ServeConfig {
     pub mailbox_capacity: usize,
     /// Full-mailbox behavior.
     pub admission: AdmissionPolicy,
-    /// Flush the attached group-commit WAL after this many commits (an
-    /// idle runtime flushes whatever is pending regardless). `1` degrades
-    /// to per-submission fsync.
+    /// Ask the log writer to flush the attached group-commit WAL after
+    /// this many commits (an idle runtime asks for a flush of whatever is
+    /// pending regardless). `1` asks after every submission; commits made
+    /// while a flush is running still share the next one.
     pub commit_group: usize,
 }
 
@@ -98,7 +104,9 @@ pub enum ServeError {
     NoPlan,
     /// Plan execution failed (stringified [`ExecError`](hyppo_core::executor::ExecError)).
     Exec(String),
-    /// The submission executed but the durability hook failed.
+    /// The submission executed but the durability hook failed, or a group
+    /// flush on the log writer failed since the last one reported (see
+    /// [`ServeRuntime::attach_durability`]).
     Durability(String),
 }
 
@@ -349,6 +357,12 @@ pub(crate) struct Shared {
     /// Signals blocked submitters: a mailbox slot freed, or shutdown.
     admit_cv: Condvar,
     durability: Mutex<Option<GroupCommitWal>>,
+    /// Flush requests for the one log-writer thread, so no worker waits
+    /// on an fsync. Requests made while a flush runs are served by the
+    /// next flush, which takes everything pending by then.
+    flushes: Arc<Scheduler<()>>,
+    /// The first log-writer flush failure not yet reported on a ticket.
+    flush_error: Mutex<Option<String>>,
     gauges: Gauges,
 }
 
@@ -459,23 +473,21 @@ impl Shared {
                         (table.shutdown && quiet, quiet)
                     };
                     if drained {
-                        // Idle + shutdown: make everything pending durable,
-                        // then release the siblings still parked.
-                        let _ = self.flush_durability();
+                        // Idle + shutdown: release the siblings still
+                        // parked. `ServeRuntime::stop`'s caller makes
+                        // the last commits durable once every thread is
+                        // joined.
                         w.scheduler().shutdown();
                         return;
                     }
                     if idle {
-                        // Fully idle: opportunistically flush the commit
-                        // group so durability never waits on new traffic.
-                        let _ = self.flush_durability();
+                        // Fully idle: flush the open commit group now so
+                        // durability never waits on new traffic.
+                        self.flushes.inject(());
                     }
                     w.park(token);
                 }
-                Step::Shutdown => {
-                    let _ = self.flush_durability();
-                    return;
-                }
+                Step::Shutdown => return,
             }
         }
     }
@@ -553,9 +565,10 @@ impl Shared {
         ticket.finish(result);
     }
 
-    /// Count `commits` toward the current group; flush when the group is
-    /// full. A flush failure is surfaced on the triggering ticket (its
-    /// in-memory submission already succeeded — same contract as
+    /// Count `commits` toward the current group; when the group is full,
+    /// ask the log writer to flush it. A log-writer flush failure is
+    /// surfaced on the ticket that closes the next group (its in-memory
+    /// submission already succeeded — same contract as
     /// [`SubmitError::Durability`]).
     fn after_commits(
         &self,
@@ -568,11 +581,32 @@ impl Shared {
         if since >= self.config.commit_group {
             // hyppo-lint: allow(relaxed-ordering-justified) group-counter reset is a heuristic trigger; the WAL orders events under its own lock
             self.gauges.commits_since_flush.store(0, Ordering::Relaxed);
-            if let Err(e) = self.flush_durability() {
-                return result.and(Err(ServeError::Durability(e.to_string())));
+            self.flushes.inject(());
+            if let Some(e) = self.flush_error.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                return result.and(Err(ServeError::Durability(e)));
             }
         }
         result
+    }
+
+    /// Log-writer main loop: one flush per claimed request until the
+    /// runtime stops it. A failed flush keeps its events pending (the WAL
+    /// retries them first) and latches the error for the next ticket that
+    /// closes a group.
+    fn log_writer_loop(&self, mut w: Worker<'_, ()>) {
+        loop {
+            match w.next_step() {
+                Step::Task(()) => {
+                    if let Err(e) = self.flush_durability() {
+                        let mut latched =
+                            self.flush_error.lock().unwrap_or_else(|e| e.into_inner());
+                        latched.get_or_insert_with(|| e.to_string());
+                    }
+                }
+                Step::Idle(token) => w.park(token),
+                Step::Shutdown => return,
+            }
+        }
     }
 
     /// Flush the attached group-commit WAL, if any: one fsync covering
@@ -636,6 +670,7 @@ impl Shared {
 pub struct ServeRuntime {
     pub(crate) shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    log_writer: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServeRuntime {
@@ -654,12 +689,31 @@ impl ServeRuntime {
             queue: Arc::new(Scheduler::new(config.workers.max(1))),
             admit_cv: Condvar::new(),
             durability: Mutex::new(None),
+            flushes: Arc::new(Scheduler::new(1)),
+            flush_error: Mutex::new(None),
             gauges: Gauges::default(),
         });
+        // The log writer is running before the first worker starts, and
+        // `stop` joins it after the last worker. glibc hands the malloc
+        // arena of an exited thread to the next thread that starts, so this
+        // fixed order gives each thread of a restarted runtime the arena of
+        // its predecessor in the same role. Were the order left to a race,
+        // a worker could start on the log writer's small arena and grow it
+        // while the old worker arena sat idle: megabytes of resident memory
+        // more on some restarts than on others.
+        let flushes = Arc::clone(&shared.flushes);
+        let writer_shared = Arc::clone(&shared);
+        let started = Arc::new(Barrier::new(2));
+        let writer_started = Arc::clone(&started);
+        let log_writer = flushes.spawn_pool("hyppo-wal", move |w| {
+            writer_started.wait();
+            writer_shared.log_writer_loop(w)
+        });
+        started.wait();
         let queue = Arc::clone(&shared.queue);
         let worker_shared = Arc::clone(&shared);
         let pool = queue.spawn_pool("hyppo-serve", move |w| worker_shared.worker_loop(w));
-        ServeRuntime { shared, workers: pool }
+        ServeRuntime { shared, workers: pool, log_writer }
     }
 
     /// The embedded backend.
@@ -668,8 +722,12 @@ impl ServeRuntime {
     }
 
     /// Attach a group-commit WAL: the backend's commits buffer into it (in
-    /// epoch order) and the runtime flushes one fsync per commit group and
-    /// whenever it drains idle.
+    /// epoch order) and the log writer flushes it, one fsync per commit
+    /// group and whenever the workers drain idle. Tickets complete without
+    /// waiting for their group's fsync; a failed flush is reported as
+    /// [`ServeError::Durability`] on the ticket that closes the next group,
+    /// and [`shutdown`](Self::shutdown) returns once a final flush has made
+    /// every commit durable, or reports why it could not.
     pub fn attach_durability(&self, wal: GroupCommitWal) {
         self.shared.backend.attach_durability(Box::new(wal.clone()));
         *self.shared.durability.lock().unwrap_or_else(|e| e.into_inner()) = Some(wal);
@@ -696,14 +754,22 @@ impl ServeRuntime {
     /// flush durability, join the workers, and return the backend (the
     /// sole `Arc` if every client/handle was dropped).
     pub fn shutdown(mut self) -> Result<Arc<SharedHyppo>, ServeError> {
+        self.stop();
+        // Every thread is joined: this flush covers all commits left.
+        self.shared.flush_durability().map_err(|e| ServeError::Durability(e.to_string()))?;
+        Ok(Arc::clone(&self.shared.backend))
+    }
+
+    /// Drain and join the workers, then stop and join the log writer.
+    fn stop(&mut self) {
         self.begin_shutdown();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Workers flushed on drain, but cover the no-worker edge and any
-        // events a final `flush_durability` race left behind.
-        self.shared.flush_durability().map_err(|e| ServeError::Durability(e.to_string()))?;
-        Ok(Arc::clone(&self.shared.backend))
+        self.shared.flushes.shutdown();
+        for writer in self.log_writer.drain(..) {
+            let _ = writer.join();
+        }
     }
 
     fn begin_shutdown(&self) {
@@ -719,11 +785,8 @@ impl ServeRuntime {
 
 impl Drop for ServeRuntime {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.begin_shutdown();
-            for worker in self.workers.drain(..) {
-                let _ = worker.join();
-            }
+        if !self.workers.is_empty() || !self.log_writer.is_empty() {
+            self.stop();
             let _ = self.shared.flush_durability();
         }
     }

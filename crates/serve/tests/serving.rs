@@ -275,3 +275,53 @@ fn reject_policy_surfaces_busy_and_counts_it() {
     }
     runtime.shutdown().unwrap();
 }
+
+#[test]
+fn the_log_writer_makes_every_served_commit_durable_in_epoch_order() {
+    use hyppo_core::durable::replay_events;
+    use hyppo_core::persist::catalog_to_json;
+    use hyppo_core::{CostEstimator, History};
+    use hyppo_persist::{read_wal, GroupCommitWal, WalWriter};
+
+    let path = std::env::temp_dir().join(format!("hyppo_serve_log_writer_{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let (writer, _) = WalWriter::open(&path).unwrap();
+    let wal = GroupCommitWal::new(writer);
+    let runtime = ServeRuntime::new(
+        SharedHyppo::new(config(1 << 20)),
+        ServeConfig { workers: 2, commit_group: 3, ..ServeConfig::default() },
+    );
+    runtime.attach_durability(wal.clone());
+    let clients: Vec<_> = (0..3).map(|_| runtime.client()).collect();
+    clients[0].register_dataset("taxi", taxi::generate(200, 5));
+    let handles: Vec<_> = (0..4u64)
+        .flat_map(|round| {
+            clients.iter().enumerate().map(move |(t, c)| {
+                c.submit(wide_ensemble_spec("taxi", 2 + t % 2, round * 3 + t as u64)).unwrap()
+            })
+        })
+        .collect();
+    for handle in handles {
+        // Tickets complete without waiting for their group's fsync, and
+        // no flush failed, so none reports a durability error.
+        handle.wait().unwrap();
+    }
+    let backend = runtime.shutdown().unwrap();
+
+    // Shutdown flushed the last group: nothing is pending, every buffered
+    // event is on disk, and replaying the log rebuilds the served catalog.
+    assert_eq!(wal.pending_events(), 0);
+    let stats = wal.stats();
+    assert!(stats.fsyncs >= 1 && stats.fsyncs < stats.appends, "{stats:?}");
+    let logged = read_wal(&path).unwrap();
+    assert_eq!(logged.torn_bytes, 0);
+    assert_eq!(logged.events.len() as u64, stats.events);
+    let (mut history, mut estimator) = (History::new(), CostEstimator::new());
+    replay_events(&logged.events, &mut history, &mut estimator);
+    let served = backend.snapshot();
+    assert_eq!(
+        catalog_to_json(&history, &estimator),
+        catalog_to_json(&served.history, &served.estimator)
+    );
+    let _ = std::fs::remove_file(&path);
+}
