@@ -39,6 +39,37 @@ fn bench_pairs(c: &mut Criterion) {
     }
 }
 
+/// The tree builder at `sweep_real`'s model stage: a 40-tree, depth-8
+/// forest (the sweep grid's largest) and a depth-8 decision tree on about
+/// 1 000 imputed HIGGS rows.
+fn bench_trees(c: &mut Criterion) {
+    let data = imputed_higgs(1000);
+    let forest = Config::new().with_i("n_trees", 40).with_i("max_depth", 8).with_i("seed", 1);
+    let tree = Config::new().with_i("max_depth", 8);
+    let mut group = c.benchmark_group("trees_1000x30");
+    group.sample_size(10);
+    for imp in LogicalOp::RandomForest.impls() {
+        group.bench_function(format!("random_forest_fit_{}", imp.name), |b| {
+            b.iter(|| {
+                execute(
+                    LogicalOp::RandomForest,
+                    TaskType::Fit,
+                    imp.index,
+                    &forest,
+                    &[black_box(&data)],
+                )
+                .unwrap()
+            })
+        });
+    }
+    group.bench_function("decision_tree_fit", |b| {
+        b.iter(|| {
+            execute(LogicalOp::DecisionTree, TaskType::Fit, 0, &tree, &[black_box(&data)]).unwrap()
+        })
+    });
+    group.finish();
+}
+
 fn bench_codec(c: &mut Criterion) {
     let data = imputed_higgs(2000);
     c.bench_function("codec_encode_2000x30", |b| {
@@ -50,5 +81,5 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pairs, bench_codec);
+criterion_group!(benches, bench_pairs, bench_trees, bench_codec);
 criterion_main!(benches);

@@ -128,6 +128,11 @@ pub fn replay_event(event: &DurableEvent, history: &mut History, estimator: &mut
         }
         DurableEvent::Evict { name } => history.evict(*name),
         DurableEvent::SetStats { name, stats } => history.set_stats(*name, *stats),
+        // A Simulated-mode execution has no input cells, and the live
+        // estimator never observes it (`TaskMetric::observes_cost`); logs
+        // written before the engine stopped journaling such events still
+        // carry them, so replay skips them too.
+        DurableEvent::Observe { input_cells: 0, .. } => {}
         DurableEvent::Observe { op, task, impl_index, input_cells, seconds } => {
             estimator.observe(*op, *task, *impl_index, *input_cells, *seconds);
         }
@@ -217,6 +222,38 @@ mod tests {
         // are edge-id sequences, so id-level identity is the real invariant.
         assert_eq!(replayed.node_of(state), live.node_of(state));
         assert_eq!(replayed.generation(), live.generation());
+    }
+
+    /// Logs written while the engine journaled Simulated-mode executions
+    /// carry `Observe` events with no input cells; the live estimator never
+    /// observed those, so replay must not either.
+    #[test]
+    fn replay_skips_observations_without_input_cells() {
+        let events = [
+            DurableEvent::Observe {
+                op: LogicalOp::Pca,
+                task: TaskType::Fit,
+                impl_index: 0,
+                input_cells: 0,
+                seconds: 0.25,
+            },
+            DurableEvent::Observe {
+                op: LogicalOp::Pca,
+                task: TaskType::Fit,
+                impl_index: 1,
+                input_cells: 4096,
+                seconds: 0.5,
+            },
+        ];
+        let mut history = History::new();
+        let mut replayed = CostEstimator::new();
+        replay_events(&events, &mut history, &mut replayed);
+        let mut live = CostEstimator::new();
+        live.observe(LogicalOp::Pca, TaskType::Fit, 1, 4096, 0.5);
+        assert_eq!(
+            crate::persist::catalog_to_json(&history, &replayed),
+            crate::persist::catalog_to_json(&history, &live)
+        );
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn execute_and_absorb<B: Backend>(
         // outside it. Ordering relative to the history events is free —
         // the two replay into disjoint state.
         if history.journal_enabled() {
-            for m in outcome.metrics.iter().filter(|m| !m.is_load) {
+            for m in outcome.metrics.iter().filter(|m| m.observes_cost()) {
                 history.journal_event(DurableEvent::Observe {
                     op: m.op,
                     task: m.task,

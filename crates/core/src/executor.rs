@@ -40,11 +40,20 @@ pub struct TaskMetric {
     /// Total input cells (statistics bucket key), or **0 in Simulated
     /// mode**: a virtual-clock cost is the estimator's own prediction, and
     /// feeding it back as an observation — in whatever bucket — would make
-    /// the estimator learn from itself. The monitor skips `input_cells == 0`
-    /// metrics when updating cost statistics.
+    /// the estimator learn from itself, so the estimator skips these.
     pub input_cells: u64,
     /// Whether this was a load edge.
     pub is_load: bool,
+}
+
+impl TaskMetric {
+    /// Whether the cost estimator learns from this metric: a measured
+    /// (non-zero input) execution of a non-load task. The monitor observes
+    /// exactly these, and the engine journals exactly these as `Observe`
+    /// events, so a replayed log rebuilds the live estimator.
+    pub(crate) fn observes_cost(&self) -> bool {
+        !self.is_load && self.input_cells > 0
+    }
 }
 
 /// Result of executing a plan.

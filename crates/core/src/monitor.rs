@@ -54,7 +54,7 @@ pub fn record_outcome(
         // by the bucket distance, re-observed, and scaled again — learned
         // costs then diverge exponentially (to `inf` after a few hundred
         // submissions) and the planner starts returning `NoPlan`.
-        if metric.input_cells > 0 {
+        if metric.observes_cost() {
             estimator.observe(
                 metric.op,
                 metric.task,

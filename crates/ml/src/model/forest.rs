@@ -5,6 +5,12 @@
 //! `seed + tree_index`, so the schedule cannot change the result — only the
 //! wall-clock cost. This is the cleanest possible instance of the paper's
 //! task equivalence: same artifact, different cost.
+//!
+//! Each member is one [`build_tree`] call on n bootstrap rows and d′ =
+//! ⌈√d⌉ features: O(d′·n log n) to presort its columns plus O(d′·n) per
+//! tree level (see [`crate::model::tree`]), so a forest of T trees of depth
+//! D costs O(T·d′·n·(log n + D)). Scratch space is per tree and freed
+//! before the next one, so peak memory is O(d′·n) per worker, whatever T.
 
 use crate::artifact::{OpState, TreeModel};
 use crate::config::Config;
@@ -40,9 +46,9 @@ fn forest_config(config: &Config) -> ForestConfig {
     }
 }
 
-/// Build tree `t` of the forest: bootstrap rows and a random
-/// `ceil(sqrt(d))`-feature subset, both derived from `seed + t`.
-fn build_member(data: &Dataset, cfg: &ForestConfig, t: usize) -> Result<TreeModel, MlError> {
+/// Tree `t`'s sample: bootstrap rows and a random `ceil(sqrt(d))`-feature
+/// subset, both derived from `seed + t`.
+fn member_sample(data: &Dataset, cfg: &ForestConfig, t: usize) -> (Vec<usize>, Vec<usize>) {
     let n = data.len();
     let d = data.n_features();
     let mut rng = SeededRng::new(cfg.seed.wrapping_add(t as u64));
@@ -50,6 +56,12 @@ fn build_member(data: &Dataset, cfg: &ForestConfig, t: usize) -> Result<TreeMode
     let n_feat = ((d as f64).sqrt().ceil() as usize).clamp(1, d);
     let mut features: Vec<usize> = rng.permutation(d).into_iter().take(n_feat).collect();
     features.sort_unstable();
+    (rows, features)
+}
+
+/// Build tree `t` of the forest on its sample.
+fn build_member(data: &Dataset, cfg: &ForestConfig, t: usize) -> Result<TreeModel, MlError> {
+    let (rows, features) = member_sample(data, cfg, t);
     build_tree(&data.x, &data.y, &rows, &features, cfg.params)
 }
 
@@ -165,6 +177,46 @@ mod tests {
         let a = fit_forest_sequential(&d, &Config::new().with_i("seed", 1)).unwrap();
         let b = fit_forest_sequential(&d, &Config::new().with_i("seed", 2)).unwrap();
         assert_ne!(a, b);
+    }
+
+    /// `RandomForest` fits at `sweep_real`'s shapes (40 trees, depth 6 and
+    /// 8, on HIGGS and TAXI training splits), both impls, equal the same
+    /// members built by the per-node-sorting oracle bit for bit.
+    #[test]
+    fn sweep_fits_match_the_oracle_bit_for_bit() {
+        use crate::model::tree::oracle::{assert_same_bits, build_tree_oracle, sweep_train_set};
+        use crate::{execute, Artifact, LogicalOp, TaskType};
+        for taxi in [false, true] {
+            let data = sweep_train_set(taxi, 1);
+            let input = Artifact::Data(data.clone());
+            for max_depth in [6, 8] {
+                let config = Config::new()
+                    .with_i("n_trees", 40)
+                    .with_i("max_depth", max_depth)
+                    .with_i("seed", 1);
+                let cfg = forest_config(&config);
+                let want: Vec<TreeModel> = (0..cfg.n_trees)
+                    .map(|t| {
+                        let (rows, features) = member_sample(&data, &cfg, t);
+                        build_tree_oracle(&data.x, &data.y, &rows, &features, cfg.params).unwrap()
+                    })
+                    .collect();
+                for imp in [0, 1] {
+                    let out =
+                        execute(LogicalOp::RandomForest, TaskType::Fit, imp, &config, &[&input])
+                            .unwrap();
+                    let [Artifact::OpState(OpState::Forest { trees, .. })] = out.as_slice() else {
+                        panic!("expected a forest, got {out:?}")
+                    };
+                    assert_eq!(trees.len(), want.len());
+                    for (t, (got, want)) in trees.iter().zip(&want).enumerate() {
+                        let context =
+                            format!("taxi {taxi}, depth {max_depth}, impl {imp}, tree {t}");
+                        assert_same_bits(got, want, &context);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

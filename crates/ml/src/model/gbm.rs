@@ -41,6 +41,15 @@ fn gbm_config(config: &Config) -> GbmConfig {
 
 /// Impl 0 ("sklearn"): boosting with exact greedy trees.
 pub fn fit_gbm_exact(data: &Dataset, config: &Config) -> Result<OpState, MlError> {
+    boost_exact(data, config, build_tree)
+}
+
+/// A tree builder with [`build_tree`]'s signature.
+type TreeBuilder =
+    fn(&Matrix, &[f64], &[usize], &[usize], TreeParams) -> Result<TreeModel, MlError>;
+
+/// [`fit_gbm_exact`]'s boosting loop over the given tree builder.
+fn boost_exact(data: &Dataset, config: &Config, build: TreeBuilder) -> Result<OpState, MlError> {
     check_trainable(data)?;
     let cfg = gbm_config(config);
     let n = data.len();
@@ -51,7 +60,7 @@ pub fn fit_gbm_exact(data: &Dataset, config: &Config) -> Result<OpState, MlError
     let params = TreeParams { max_depth: cfg.max_depth, min_leaf: 4, max_thresholds: 16 };
     let mut trees = Vec::with_capacity(cfg.n_rounds);
     for _ in 0..cfg.n_rounds {
-        let tree = build_tree(&data.x, &residual, &rows, &features, params)?;
+        let tree = build(&data.x, &residual, &rows, &features, params)?;
         for (res, row) in residual.iter_mut().zip(data.x.rows_iter()) {
             *res -= cfg.learning_rate * tree.predict_row(row);
         }
@@ -230,6 +239,48 @@ mod tests {
 
     fn mse(preds: &[f64], truth: &[f64]) -> f64 {
         preds.iter().zip(truth).map(|(p, t)| (p - t).powi(2)).sum::<f64>() / truth.len() as f64
+    }
+
+    /// Exact `GradientBoosting` fits at `sweep_real`'s shapes (10 and 40
+    /// rounds of depth 3 on HIGGS and TAXI training splits) equal the same
+    /// boosting loop over the per-node-sorting oracle bit for bit.
+    #[test]
+    fn sweep_fits_match_the_oracle_bit_for_bit() {
+        use crate::model::tree::oracle::{assert_same_bits, build_tree_oracle, sweep_train_set};
+        use crate::{execute, Artifact, LogicalOp, TaskType};
+        for taxi in [false, true] {
+            let data = sweep_train_set(taxi, 2);
+            for n_rounds in [10, 40] {
+                let config = Config::new().with_i("n_rounds", n_rounds).with_i("max_depth", 3);
+                let out = execute(
+                    LogicalOp::GradientBoosting,
+                    TaskType::Fit,
+                    0,
+                    &config,
+                    &[&Artifact::Data(data.clone())],
+                )
+                .unwrap();
+                let [Artifact::OpState(OpState::Gbm { trees, learning_rate, base })] =
+                    out.as_slice()
+                else {
+                    panic!("expected a boosted model, got {out:?}")
+                };
+                let OpState::Gbm { trees: want, learning_rate: lr, base: b } =
+                    boost_exact(&data, &config, build_tree_oracle).unwrap()
+                else {
+                    panic!("expected a boosted model")
+                };
+                assert_eq!((learning_rate.to_bits(), base.to_bits()), (lr.to_bits(), b.to_bits()));
+                assert_eq!(trees.len(), want.len());
+                for (t, (got, want)) in trees.iter().zip(&want).enumerate() {
+                    assert_same_bits(
+                        got,
+                        want,
+                        &format!("taxi {taxi}, {n_rounds} rounds, tree {t}"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

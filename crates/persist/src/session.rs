@@ -327,6 +327,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// In Simulated mode the live estimator learns nothing (virtual-clock
+    /// costs are its own predictions), so the WAL must carry no
+    /// observations and recovery must rebuild the same empty statistics.
+    #[test]
+    fn simulated_session_recovers_bit_identical_catalog_and_estimator() {
+        use hyppo_core::executor::ExecMode;
+        let dir = tmp("simulated");
+        let _ = std::fs::remove_dir_all(&dir);
+        let simulated = || HyppoConfig { mode: ExecMode::Simulated, ..config() };
+        let live_json = {
+            let (mut session, _) = DurableHyppo::open(&dir, simulated()).unwrap();
+            session.register_dataset("data", dataset(300));
+            for seed in 0..4 {
+                session.submit(spec(seed)).unwrap();
+            }
+            session.snapshot_json()
+        };
+        let (session, report) = DurableHyppo::open(&dir, simulated()).unwrap();
+        assert!(report.replayed_events > 0);
+        assert_eq!(session.snapshot_json(), live_json, "recovery must be bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn torn_wal_tail_is_truncated_and_survivors_recovered() {
         let dir = tmp("torn");
