@@ -1,30 +1,28 @@
-//! Work-stealing scheduler spawn throughput and contention profile, in
-//! service mode (the mode the executor and the serving layer run).
+//! FIFO run-queue throughput in the serving layer's traffic shape.
+//!
+//! Serving keeps one copy of each runnable tenant in the queue: a worker
+//! claims a tenant's turn and, when mail remains, re-injects the tenant at
+//! the back. Here K tokens (K = 16, `serve_sim`'s tenant count) circulate
+//! the same way — inject → claim → re-inject — until N claims have been
+//! made in total, at 1, 2 and 4 workers on scoped threads. A turn does
+//! almost no work, so claims/s is the scheduler's own per-turn overhead:
+//! one injector-lock claim, one injector-lock push and the wakeup signal.
 //!
 //! Run under `cargo bench --bench sched` for the full measurement, which
-//! writes `BENCH_sched.json` (tasks/second plus the full `SchedStats`
-//! counter set per worker count). Without `--bench` in the arguments
-//! (e.g. when `cargo test` smoke-runs harness-less bench targets) a tiny
-//! tree runs and nothing is written.
-//!
-//! Each task here does almost no work, so the task rate is the
-//! scheduler's own per-claim overhead; the *contention counters* say how
-//! much work moved over the owner's local-pop path versus the injector
-//! and sibling steals. These numbers are reported, never asserted
+//! writes `BENCH_sched.json` (claims/second plus the `SchedStats` counters
+//! per worker count). Without `--bench` in the arguments (e.g. when
+//! `cargo test` smoke-runs harness-less bench targets) a few hundred claims
+//! run and nothing is written. These numbers are reported, never asserted
 //! (DESIGN.md §16).
 
 use hyppo_sched::{SchedStats, Scheduler, Step};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 #[derive(Serialize)]
 struct StatsOut {
-    spawned: u64,
     injected: u64,
-    completed: u64,
-    local_pops: u64,
     injector_claims: u64,
     steals: u64,
     empty_scans: u64,
@@ -34,10 +32,7 @@ struct StatsOut {
 impl From<SchedStats> for StatsOut {
     fn from(s: SchedStats) -> Self {
         StatsOut {
-            spawned: s.spawned,
             injected: s.injected,
-            completed: s.completed,
-            local_pops: s.local_pops,
             injector_claims: s.injector_claims,
             steals: s.steals,
             empty_scans: s.empty_scans,
@@ -50,9 +45,7 @@ impl From<SchedStats> for StatsOut {
 struct RunResult {
     workers: usize,
     wall_seconds: f64,
-    tasks_per_second: f64,
-    /// Fraction of claims served by the owner's own queue.
-    local_claim_fraction: f64,
+    claims_per_second: f64,
     stats: StatsOut,
 }
 
@@ -60,62 +53,50 @@ struct RunResult {
 struct BenchReport {
     benchmark: String,
     host_cpus: usize,
-    fanout: usize,
-    depth: usize,
-    tasks_per_run: u64,
+    tokens: u64,
+    claims_per_run: u64,
     runs: Vec<RunResult>,
 }
 
-/// One task: remaining depth. Each task at depth > 0 spawns `fanout`
-/// children, so a seed at depth `d` runs exactly
-/// `(fanout^(d+1) - 1) / (fanout - 1)` tasks. The driver seeds the tree
-/// and blocks until the worker that finishes the last task reports it;
-/// returning from the driver shuts the pool down.
-fn run_tree(sched: &Scheduler<u32>, fanout: usize, depth: u32, tasks: u64, checksum: &AtomicU64) {
-    let done = AtomicU64::new(0);
-    let (finished, all_done) = mpsc::channel();
-    sched.run_with_driver(
-        || {
-            sched.inject(depth);
-            all_done.recv().expect("a worker reports the last task");
-        },
-        |mut w| loop {
-            match w.next_step() {
-                Step::Task(depth) => {
-                    if depth > 0 {
-                        for _ in 0..fanout {
-                            w.spawn(depth - 1);
+/// Circulate `tokens` items until `claims` claims have been made. Each
+/// item carries the claims left on its own token, so exactly `claims`
+/// items are ever pushed; the worker that makes the last claim shuts the
+/// queue down.
+fn circulate(sched: &Scheduler<u64>, workers: usize, tokens: u64, claims: u64) {
+    let claimed = AtomicU64::new(0);
+    for _ in 0..tokens {
+        sched.inject(claims / tokens);
+    }
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                match sched.next_step() {
+                    Step::Task { item: left, .. } => {
+                        if left > 1 {
+                            sched.inject(left - 1);
+                        }
+                        if claimed.fetch_add(1, Ordering::SeqCst) + 1 == claims {
+                            sched.shutdown();
                         }
                     }
-                    // A touch of real work per task so claims do not
-                    // degenerate into pure counter traffic.
-                    checksum.fetch_add(u64::from(depth) + 1, Ordering::Relaxed);
-                    if done.fetch_add(1, Ordering::SeqCst) + 1 == tasks {
-                        finished.send(()).expect("the driver waits for the last task");
-                    }
+                    Step::Idle(token) => sched.park(token),
+                    Step::Shutdown => return,
                 }
-                Step::Idle(token) => w.park(token),
-                Step::Shutdown => return,
-            }
-        },
-    );
-}
-
-fn tree_size(fanout: u64, depth: u32) -> u64 {
-    (fanout.pow(depth + 1) - 1) / (fanout - 1)
+            });
+        }
+    });
 }
 
 fn main() {
     let full = std::env::args().any(|a| a == "--bench");
-    let (fanout, depth, reps) = if full { (4usize, 8u32, 3) } else { (3, 3, 1) };
-    let expected = tree_size(fanout as u64, depth);
+    let tokens = 16u64;
+    let (claims, reps) = if full { (tokens << 18, 3) } else { (tokens << 4, 1) };
 
     let mut report = BenchReport {
-        benchmark: "work_stealing_scheduler".to_string(),
+        benchmark: "fifo_run_queue".to_string(),
         host_cpus: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        fanout,
-        depth: depth as usize,
-        tasks_per_run: expected,
+        tokens,
+        claims_per_run: claims,
         runs: Vec::new(),
     };
 
@@ -123,32 +104,27 @@ fn main() {
         let mut wall = f64::INFINITY;
         let mut stats = SchedStats::default();
         for _ in 0..reps {
-            let sched: Scheduler<u32> = Scheduler::new(workers);
-            let checksum = AtomicU64::new(0);
+            let sched: Scheduler<u64> = Scheduler::new(workers);
             let start = Instant::now();
-            run_tree(&sched, fanout, depth, expected, &checksum);
+            circulate(&sched, workers, tokens, claims);
             let elapsed = start.elapsed().as_secs_f64();
             let s = sched.stats();
-            assert_eq!(s.completed, expected, "tree ran short");
+            assert_eq!((s.injected, s.injector_claims), (claims, claims), "run ended short");
             if elapsed < wall {
                 wall = elapsed;
                 stats = s;
             }
         }
-        let claims = stats.local_pops + stats.injector_claims + stats.steals;
-        let local_fraction =
-            if claims == 0 { 0.0 } else { stats.local_pops as f64 / claims as f64 };
         println!(
-            "sched: {workers} workers: {:.0} tasks/s (local {:.0}%, steals {})",
-            expected as f64 / wall,
-            local_fraction * 100.0,
-            stats.steals
+            "sched: {workers} workers: {:.0} claims/s ({} empty claims, {} parks)",
+            claims as f64 / wall,
+            stats.empty_scans,
+            stats.parks
         );
         report.runs.push(RunResult {
             workers,
             wall_seconds: wall,
-            tasks_per_second: expected as f64 / wall,
-            local_claim_fraction: local_fraction,
+            claims_per_second: claims as f64 / wall,
             stats: stats.into(),
         });
     }

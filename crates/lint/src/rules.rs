@@ -98,9 +98,9 @@ const CONCURRENCY_SCOPE: &[&str] = &[
     "crates/sched/src/",
 ];
 
-/// The one crate allowed to create OS threads: the work-stealing scheduler
-/// owns parking, stealing, and shutdown, so every pool in the workspace must
-/// be built from its `run_with_driver`/`spawn_pool` primitives.
+/// The one crate allowed to create OS threads: the scheduler's run queue
+/// owns parking and shutdown, so every detached pool in the workspace must
+/// be built with its `spawn_pool`.
 /// Benches and tests that truly need a raw thread annotate why.
 const SCHED_CRATE: &str = "crates/sched/";
 
@@ -386,8 +386,8 @@ fn thread_spawn(lines: &[Line], emit: &mut impl FnMut(&'static str, usize, usize
                     pos + 1,
                     format!(
                         "`{pat}..` creates a raw OS thread outside `crates/sched` — worker \
-                         pools go through `hyppo-sched` (`run_with_driver`, `spawn_pool`) \
-                         so parking, stealing, and shutdown stay centralized; \
+                         pools go through `hyppo-sched` (`spawn_pool`) so parking and \
+                         shutdown stay centralized; \
                          annotate benches/tests that truly need a bare thread"
                     ),
                 );

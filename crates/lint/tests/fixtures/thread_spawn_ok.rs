@@ -1,16 +1,13 @@
-fn run_until_driver_returns(sched: &hyppo_sched::Scheduler<u64>) {
-    // Scoped workers come from the scheduler, which owns parking and
-    // shutdown; no raw thread ever outlives this call.
-    sched.run_with_driver(
-        || sched.inject(1),
-        |mut w| loop {
-            match w.next_step() {
-                hyppo_sched::Step::Task(_) => {}
-                hyppo_sched::Step::Idle(token) => w.park(token),
-                hyppo_sched::Step::Shutdown => return,
-            }
-        },
-    );
+fn start_pool(sched: &std::sync::Arc<hyppo_sched::Scheduler<u64>>) -> Vec<std::thread::JoinHandle<()>> {
+    // Pool threads come from the scheduler, which owns parking and
+    // shutdown; the caller joins the handles it returns.
+    sched.spawn_pool("fixture", |sched| loop {
+        match sched.next_step() {
+            hyppo_sched::Step::Task { .. } => {}
+            hyppo_sched::Step::Idle(token) => sched.park(token),
+            hyppo_sched::Step::Shutdown => return,
+        }
+    })
 }
 
 fn scoped_helpers(items: &[u64]) -> u64 {

@@ -1,31 +1,28 @@
-//! Scheduler-level tests: service-mode parking and shutdown, the
-//! per-worker queue discipline (owner LIFO, thief FIFO), an owner-vs-thief
-//! race harness, and empty-steal and worker-slot regressions.
+//! Scheduler-level tests: service-mode parking and shutdown with real
+//! threads, the injector's claim numbering, and single-thread checks of
+//! the park protocol (no sleeps, no second thread).
 
 use super::*;
 use std::sync::atomic::{AtomicUsize, Ordering as O};
 
-/// Service mode: with nothing queued, every worker's scan comes up empty
-/// (the empty-steal path), they park, and `shutdown()` must wake them all
-/// into `Step::Shutdown` — no worker may sleep through it.
+/// Service mode: with nothing queued, every worker's claim comes up empty,
+/// they park, and `shutdown()` must wake them all into `Step::Shutdown` —
+/// no worker may sleep through it.
 #[test]
 fn shutdown_wakes_parked_service_workers() {
     let sched: Scheduler<u32> = Scheduler::new(8);
     let exited = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for i in 0..8 {
+        for _ in 0..8 {
             let sched = &sched;
             let exited = &exited;
-            scope.spawn(move || {
-                let mut w = sched.worker(i);
-                loop {
-                    match w.next_step() {
-                        Step::Task(_) => panic!("no work was ever published"),
-                        Step::Idle(token) => w.park(token),
-                        Step::Shutdown => {
-                            exited.fetch_add(1, O::SeqCst);
-                            return;
-                        }
+            scope.spawn(move || loop {
+                match sched.next_step() {
+                    Step::Task { .. } => panic!("no work was ever published"),
+                    Step::Idle(token) => sched.park(token),
+                    Step::Shutdown => {
+                        exited.fetch_add(1, O::SeqCst);
+                        return;
                     }
                 }
             });
@@ -35,10 +32,10 @@ fn shutdown_wakes_parked_service_workers() {
         sched.shutdown();
     });
     assert_eq!(exited.load(O::SeqCst), 8);
-    assert!(sched.stats().empty_scans >= 8, "each worker scanned empty at least once");
+    assert!(sched.stats().empty_scans >= 8, "each worker found the queue empty at least once");
 }
 
-/// Work published between a failed scan and the park must not be lost:
+/// Work published between a failed claim and the park must not be lost:
 /// the IdleToken generation check turns the park into a no-op.
 #[test]
 fn service_mode_processes_injected_work_then_drains_on_shutdown() {
@@ -46,21 +43,18 @@ fn service_mode_processes_injected_work_then_drains_on_shutdown() {
     let sum = std::sync::atomic::AtomicU64::new(0);
     let seen = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for i in 0..4 {
+        for _ in 0..4 {
             let sched = &sched;
             let sum = &sum;
             let seen = &seen;
-            scope.spawn(move || {
-                let mut w = sched.worker(i);
-                loop {
-                    match w.next_step() {
-                        Step::Task(v) => {
-                            sum.fetch_add(v, O::SeqCst);
-                            seen.fetch_add(1, O::SeqCst);
-                        }
-                        Step::Idle(token) => w.park(token),
-                        Step::Shutdown => return,
+            scope.spawn(move || loop {
+                match sched.next_step() {
+                    Step::Task { item, .. } => {
+                        sum.fetch_add(item, O::SeqCst);
+                        seen.fetch_add(1, O::SeqCst);
                     }
+                    Step::Idle(token) => sched.park(token),
+                    Step::Shutdown => return,
                 }
             });
         }
@@ -76,136 +70,61 @@ fn service_mode_processes_injected_work_then_drains_on_shutdown() {
 }
 
 #[test]
-fn run_with_driver_shuts_down_even_when_driver_panics() {
-    let sched: Scheduler<u32> = Scheduler::new(2);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched.run_with_driver(
-            || panic!("driver died"),
-            |mut w| loop {
-                match w.next_step() {
-                    Step::Task(_) => {}
-                    Step::Idle(token) => w.park(token),
-                    Step::Shutdown => return,
-                }
-            },
-        )
-    }));
-    // The panic propagates, but only after the workers were woken and
-    // joined — reaching this line at all is the regression being tested.
-    assert!(result.is_err());
-    assert!(sched.is_shutdown());
-}
-
-#[test]
-#[should_panic(expected = "already claimed")]
-fn worker_slot_is_exclusive() {
-    let sched: Scheduler<u32> = Scheduler::new(2);
-    let _first = sched.worker(0);
-    let _second = sched.worker(0);
-}
-
-#[test]
-fn dropping_a_worker_releases_its_slot() {
-    let sched: Scheduler<u32> = Scheduler::new(1);
-    drop(sched.worker(0));
-    let _again = sched.worker(0);
-}
-
-#[test]
 fn injector_claims_count_the_claims_since_each_push() {
     let sched: Scheduler<u64> = Scheduler::new(1);
-    let mut w = sched.worker(0);
     for i in 0..3 {
         sched.inject(i);
     }
     // Pushed together: the k-th claim had k claims ahead of it.
     for k in 0..3 {
-        assert!(matches!(w.next_step(), Step::Task(t) if t == k));
-        assert_eq!(w.claims_ahead(), Some(k));
+        assert!(matches!(
+            sched.next_step(),
+            Step::Task { item, claims_ahead } if item == k && claims_ahead == k
+        ));
     }
     // Pushed after those claims: nothing ahead.
     sched.inject(3);
-    assert!(matches!(w.next_step(), Step::Task(3)));
-    assert_eq!(w.claims_ahead(), Some(0));
-    // A worker-queue item has no injector position.
-    w.spawn(4);
-    assert!(matches!(w.next_step(), Step::Task(4)));
-    assert_eq!(w.claims_ahead(), None);
+    assert!(matches!(sched.next_step(), Step::Task { item: 3, claims_ahead: 0 }));
     let stats = sched.stats();
     assert_eq!(stats.injected, 4);
-    assert_eq!(stats.injector_claims, 4, "every injected item claimed once, from the injector");
+    assert_eq!(stats.injector_claims, 4, "every injected item claimed once");
 }
 
+/// Each way to publish after an empty claim — new work, `wake_all`,
+/// `shutdown` — bumps the generation past the token's, so parking on that
+/// token returns at once. A lost wakeup would hang this single thread.
 #[test]
-fn owner_pops_newest_first() {
-    let sched: Scheduler<u32> = Scheduler::new(1);
-    for i in 0..3 {
-        sched.push(0, i);
-    }
-    assert_eq!(sched.pop(0), Some(2), "LIFO from the back");
-    assert_eq!(sched.pop(0), Some(1));
-    assert_eq!(sched.pop(0), Some(0));
-    assert_eq!(sched.pop(0), None, "empty queue pops nothing");
-}
-
-#[test]
-fn steal_takes_the_oldest_item_from_the_front() {
-    let sched: Scheduler<u32> = Scheduler::new(2);
-    for i in 0..4 {
-        sched.push(0, i);
-    }
-    assert_eq!(sched.steal(0), Some(0), "oldest item, FIFO from the front");
-    assert_eq!(sched.steal(0), Some(1));
-    assert_eq!(sched.pop(0), Some(3), "owner still pops newest");
-    assert_eq!(sched.steal(0), Some(2));
-    assert_eq!(sched.steal(0), None, "drained victim yields nothing");
-    assert_eq!(sched.steal(1), None, "empty victim yields nothing");
-}
-
-/// The interleaving that broke the old lock-free deque: the owner pushes
-/// three items and pops its queue empty while a thief steals from it, in
-/// barrier-aligned rounds so the two race every round. Every item must be
-/// claimed exactly once — by the owner or by the thief.
-#[test]
-fn owner_and_thief_race_claims_every_item_exactly_once() {
-    use std::sync::Barrier;
-    const ROUNDS: u32 = 100_000;
-    let sched: Scheduler<u32> = Scheduler::new(2);
-    let (start, end) = (Barrier::new(2), Barrier::new(2));
-    let (popped, stolen) = std::thread::scope(|scope| {
-        let thief = scope.spawn(|| {
-            let mut stolen = Vec::with_capacity(ROUNDS as usize);
-            for _ in 0..ROUNDS {
-                start.wait();
-                let out: Vec<u32> = sched.steal(0).into_iter().collect();
-                end.wait();
-                stolen.push(out);
-            }
-            stolen
-        });
-        let mut popped = Vec::with_capacity(ROUNDS as usize);
-        for round in 0..ROUNDS {
-            for i in 0..3 {
-                sched.push(0, round * 3 + i);
-            }
-            let mut out = Vec::new();
-            start.wait();
-            while let Some(item) = sched.pop(0) {
-                out.push(item);
-            }
-            end.wait();
-            popped.push(out);
+fn park_on_a_token_older_than_a_publish_returns_at_once() {
+    let publishes: [fn(&Scheduler<u32>); 3] = [|s| s.inject(7), |s| s.wake_all(), |s| s.shutdown()];
+    for (case, publish) in publishes.into_iter().enumerate() {
+        let sched = Scheduler::new(1);
+        let Step::Idle(token) = sched.next_step() else {
+            panic!("case {case}: nothing was queued yet");
+        };
+        publish(&sched);
+        sched.park(token);
+        assert_eq!(sched.stats().parks, 1, "case {case}");
+        match (case, sched.next_step()) {
+            (0, Step::Task { item: 7, claims_ahead: 0 })
+            | (1, Step::Idle(_))
+            | (2, Step::Shutdown) => {}
+            (_, step) => panic!("case {case}: unexpected {step:?}"),
         }
-        (popped, thief.join().unwrap())
-    });
-    for (round, (owner, thief)) in popped.iter().zip(&stolen).enumerate() {
-        let mut claimed: Vec<u32> = owner.iter().chain(thief).copied().collect();
-        claimed.sort_unstable();
-        let base = round as u32 * 3;
-        assert_eq!(
-            claimed,
-            vec![base, base + 1, base + 2],
-            "round {round}: owner {owner:?} thief {thief:?}"
-        );
     }
+}
+
+/// After a wakeup, a fresh claim with nothing published is `Idle` again,
+/// and its token holds the current generation: a park on it would sleep
+/// until the next publish, not spin.
+#[test]
+fn a_fresh_token_with_nothing_published_is_idle_again() {
+    let sched: Scheduler<u32> = Scheduler::new(1);
+    let Step::Idle(stale) = sched.next_step() else { panic!("nothing was queued") };
+    sched.wake_all();
+    sched.park(stale);
+    let Step::Idle(fresh) = sched.next_step() else { panic!("wake_all publishes no work") };
+    assert_ne!(fresh.generation, stale.generation);
+    assert_eq!(fresh.generation, sched.generation.load(O::SeqCst));
+    let stats = sched.stats();
+    assert_eq!((stats.empty_scans, stats.parks, stats.injector_claims), (2, 1, 0));
 }

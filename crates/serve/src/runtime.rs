@@ -1,6 +1,5 @@
-//! The actor runtime: tenant mailboxes scheduled over the shared
-//! work-stealing scheduler, bounded admission, and group-committed
-//! durability.
+//! The actor runtime: tenant mailboxes scheduled over one FIFO run
+//! queue, bounded admission, and group-committed durability.
 //!
 //! Each tenant session is an **actor**: a FIFO mailbox of submission
 //! tickets that at most one worker drains at a time, so a tenant's
@@ -26,20 +25,19 @@
 //! submissions with [`ServeError::Busy`] ([`AdmissionPolicy::Reject`]) or
 //! blocks the submitter until a slot frees ([`AdmissionPolicy::Block`]).
 //!
-//! Scheduler invariant: a tenant index is in the scheduler (some queue or
-//! the injector) **iff** it is not currently running and its mailbox is
-//! non-empty. Enqueue injects the tenant when its mailbox transitions
-//! empty → non-empty while idle; the worker that just processed its turn
-//! re-injects it if mail remains. Exactly one of those happens per
-//! transition, so a tenant has at-most-one in-flight message and its copy
-//! appears at most once in the whole scheduler — stealing moves the copy,
-//! never duplicates it (DESIGN.md §16 restates the argument).
+//! Scheduler invariant: a tenant index is in the run queue **iff** it is
+//! not currently running and its mailbox is non-empty. Enqueue injects
+//! the tenant when its mailbox transitions empty → non-empty while idle;
+//! the worker that just processed its turn re-injects it if mail remains.
+//! Exactly one of those happens per transition, so a tenant has
+//! at-most-one in-flight message and its copy appears at most once in the
+//! run queue (DESIGN.md §16 restates the argument).
 
 use crate::backend::{SharedBatchRun, SharedHyppo, SharedRun};
 use hyppo_core::system::SubmitError;
 use hyppo_persist::GroupCommitWal;
 use hyppo_pipeline::{ArtifactName, PipelineSpec};
-use hyppo_sched::{SchedStats, Scheduler, Step, Worker};
+use hyppo_sched::{SchedStats, Scheduler, Step};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
@@ -181,10 +179,9 @@ pub struct TicketStats {
     pub epoch_lag: u64,
     /// Tenant turns claimed between the injection of this ticket's turn
     /// into the run queue and the turn's own claim: its queue position,
-    /// counted under the scheduler's injector lock
-    /// ([`Worker::claims_ahead`]), so preemption cannot skew it. `None`
-    /// for a turn that did not come through the injector.
-    pub queue_position: Option<u64>,
+    /// counted under the scheduler's injector lock ([`Step::Task`]), so
+    /// preemption cannot skew it.
+    pub queue_position: u64,
 }
 
 #[derive(Debug)]
@@ -351,8 +348,8 @@ pub(crate) struct Shared {
     pub(crate) backend: Arc<SharedHyppo>,
     pub(crate) config: ServeConfig,
     table: Mutex<TenantTable>,
-    /// Runnable tenant indices, scheduled work-stealing style; parking and
-    /// wakeups live inside the scheduler.
+    /// Runnable tenant indices in FIFO order; parking and wakeups live
+    /// inside the scheduler.
     queue: Arc<Scheduler<usize>>,
     /// Signals blocked submitters: a mailbox slot freed, or shutdown.
     admit_cv: Condvar,
@@ -429,12 +426,10 @@ impl Shared {
 
     /// Worker main loop: service-mode turns over the scheduler until the
     /// runtime is drained and shut down.
-    fn worker_loop(&self, mut w: Worker<'_, usize>) {
+    fn worker_loop(&self, queue: &Scheduler<usize>) {
         loop {
-            match w.next_step() {
-                Step::Task(tenant) => {
-                    // `None` unless the turn came through the injector.
-                    let queue_position = w.claims_ahead();
+            match queue.next_step() {
+                Step::Task { item: tenant, claims_ahead: queue_position } => {
                     let mail = {
                         let mut table = self.lock_table();
                         let mail = table.tenants[tenant]
@@ -460,10 +455,9 @@ impl Shared {
                     if again {
                         // ≤1 in-flight per tenant: only the worker that
                         // just finished this tenant's turn may requeue it.
-                        // Through the FIFO injector, not this worker's own
-                        // queue (which it claims first): the tenant's next
-                        // turn waits behind every tenant already runnable.
-                        w.scheduler().inject(tenant);
+                        // The queue is FIFO, so the tenant's next turn
+                        // waits behind every tenant already runnable.
+                        queue.inject(tenant);
                     }
                 }
                 Step::Idle(token) => {
@@ -477,7 +471,7 @@ impl Shared {
                         // parked. `ServeRuntime::stop`'s caller makes
                         // the last commits durable once every thread is
                         // joined.
-                        w.scheduler().shutdown();
+                        queue.shutdown();
                         return;
                     }
                     if idle {
@@ -485,7 +479,7 @@ impl Shared {
                         // durability never waits on new traffic.
                         self.flushes.inject(());
                     }
-                    w.park(token);
+                    queue.park(token);
                 }
                 Step::Shutdown => return,
             }
@@ -493,7 +487,7 @@ impl Shared {
     }
 
     /// Execute one mailbox message and resolve its ticket.
-    fn process(&self, mail: Mail, queue_position: Option<u64>) {
+    fn process(&self, mail: Mail, queue_position: u64) {
         let Mail { ticket, request } = mail;
         if !ticket.begin_execution() {
             // Cancelled while queued; already resolved.
@@ -593,17 +587,17 @@ impl Shared {
     /// runtime stops it. A failed flush keeps its events pending (the WAL
     /// retries them first) and latches the error for the next ticket that
     /// closes a group.
-    fn log_writer_loop(&self, mut w: Worker<'_, ()>) {
+    fn log_writer_loop(&self, flushes: &Scheduler<()>) {
         loop {
-            match w.next_step() {
-                Step::Task(()) => {
+            match flushes.next_step() {
+                Step::Task { .. } => {
                     if let Err(e) = self.flush_durability() {
                         let mut latched =
                             self.flush_error.lock().unwrap_or_else(|e| e.into_inner());
                         latched.get_or_insert_with(|| e.to_string());
                     }
                 }
-                Step::Idle(token) => w.park(token),
+                Step::Idle(token) => flushes.park(token),
                 Step::Shutdown => return,
             }
         }
@@ -705,14 +699,14 @@ impl ServeRuntime {
         let writer_shared = Arc::clone(&shared);
         let started = Arc::new(Barrier::new(2));
         let writer_started = Arc::clone(&started);
-        let log_writer = flushes.spawn_pool("hyppo-wal", move |w| {
+        let log_writer = flushes.spawn_pool("hyppo-wal", move |flushes| {
             writer_started.wait();
-            writer_shared.log_writer_loop(w)
+            writer_shared.log_writer_loop(flushes)
         });
         started.wait();
         let queue = Arc::clone(&shared.queue);
         let worker_shared = Arc::clone(&shared);
-        let pool = queue.spawn_pool("hyppo-serve", move |w| worker_shared.worker_loop(w));
+        let pool = queue.spawn_pool("hyppo-serve", move |queue| worker_shared.worker_loop(queue));
         ServeRuntime { shared, workers: pool, log_writer }
     }
 
@@ -743,9 +737,9 @@ impl ServeRuntime {
         self.shared.metrics()
     }
 
-    /// Traffic counters of the underlying work-stealing scheduler (tenant
-    /// turns claimed locally, stolen, spilled, …) — reported by the
-    /// scheduler bench; purely observational.
+    /// Traffic counters of the tenant run queue (turns injected and
+    /// claimed, empty claims, parks) — reported by perfbench; purely
+    /// observational.
     pub fn scheduler_stats(&self) -> SchedStats {
         self.shared.queue.stats()
     }

@@ -33,12 +33,12 @@ fi
 echo "== sched == scheduler determinism suite"
 # Scheduler gate (crates/sched, DESIGN.md §16): tenant serving, the
 # scheduler's one consumer, must stay bit-identical to serial at every
-# worker count, whatever work the idle workers steal. The
-# scheduler's own unit tests run with `cargo test -p hyppo-sched` above;
-# the bench artifact BENCH_sched.json (service-mode throughput +
-# contention counters) is committed at the repo root and refreshed by
-# `cargo bench --bench sched -- --bench` — contention numbers are
-# reported, never asserted.
+# worker count, whichever worker claims each tenant turn from the FIFO run
+# queue. The scheduler's own unit tests run with `cargo test -p hyppo-sched`
+# above; the bench artifact BENCH_sched.json (claim throughput in serving's
+# re-inject traffic shape + the queue's counters) is committed at the repo
+# root and refreshed by `cargo bench --bench sched -- --bench` — those
+# numbers are reported, never asserted.
 cargo test --offline -q --test sched_determinism
 test -f BENCH_sched.json || { echo "BENCH_sched.json missing" >&2; exit 1; }
 

@@ -22,8 +22,8 @@
 //!   artifact naming;
 //! - [`core`] — the HYPPO system: history, augmenter, serial plan search,
 //!   cost model, materializer, executor;
-//! - [`sched`] — the work-stealing scheduler the serving layer runs on:
-//!   per-worker queues, a global injector, single-item stealing;
+//! - [`sched`] — the FIFO run queue the serving layer runs on: one
+//!   injector that numbers its claims, with lost-wakeup-free parking;
 //! - [`serve`] — the multi-tenant serving layer: the epoch-snapshot
 //!   shared backend ([`serve::SharedHyppo`]) over a sharded thread-safe
 //!   artifact store, per-tenant actor mailboxes over a worker pool,

@@ -1,14 +1,14 @@
 //! Scheduler determinism gate (DESIGN.md §16).
 //!
-//! Tenant serving runs on `hyppo-sched`'s work-stealing queues, and the
-//! repo's headline guarantee is that results stay **bit-identical** to
-//! serial at any worker count under any steal schedule. This suite runs
-//! the serving layer at several worker counts, where idle workers steal
-//! from busy siblings; `scripts/ci.sh` runs it as the `== sched ==` stage
-//! and then loops the compiled binary to shake out rare interleavings.
+//! Tenant serving runs on `hyppo-sched`'s FIFO run queue, and the repo's
+//! headline guarantee is that results stay **bit-identical** to serial at
+//! any worker count, whichever worker claims each tenant turn and when.
+//! This suite runs the serving layer at several worker counts;
+//! `scripts/ci.sh` runs it as the `== sched ==` stage and then loops the
+//! compiled binary to shake out rare interleavings.
 //!
-//! The scheduler's own shutdown/empty-steal regressions live in
-//! `crates/sched`; this file checks its consumer end to end.
+//! The scheduler's own parking and shutdown tests live in `crates/sched`;
+//! this file checks its consumer end to end.
 
 use hyppo::core::executor::ExecMode;
 use hyppo::core::optimizer::Planner;
@@ -74,9 +74,9 @@ fn assert_same_reports(seed: u64, wide: &[SharedRun], narrow: &[SharedRun]) {
     }
 }
 
-/// Serving: a tenant's mailbox turns circulate through the same
-/// scheduler queues, and the per-tenant reports still match a single-worker
-/// runtime bit for bit.
+/// Serving: a tenant's mailbox turns circulate through the scheduler's
+/// run queue, claimed by whichever of four workers is free, and the
+/// per-tenant reports still match a single-worker runtime bit for bit.
 #[test]
 fn serve_reports_are_bit_identical_under_steal_heavy_schedules() {
     for seed in [3u64, 8, 15] {
